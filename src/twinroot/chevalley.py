@@ -211,7 +211,8 @@ class LoopGroup:
 
     def weyl_from_monomial(self, m: LaurentMatrix) -> WeylElement:
         """Abstract affine Weyl element of a monomial matrix, read off from
-        its conjugation action on the simple root groups."""
+        its conjugation action on the simple root groups; OracleInconsistent
+        if no Weyl element acts that way."""
         m_inv = m.inverse()
         cols = []
         cols_inv = []
@@ -220,7 +221,10 @@ class LoopGroup:
             cols_inv.append(self.root_vector(self._conjugate_root(m_inv, m, root)))
         mat = tuple(tuple(cols[j][i] for j in range(self.n)) for i in range(self.n))
         inv = tuple(tuple(cols_inv[j][i] for j in range(self.n)) for i in range(self.n))
-        return weyl.WeylElement(self.gcm, weyl._canonical_word(self.gcm, mat, inv), mat, inv)
+        w = weyl.element_of_action(self.gcm, mat, inv)
+        if w is None:
+            raise OracleInconsistent("monomial matrix does not act as a Weyl element")
+        return w
 
     @lru_cache(maxsize=None)
     def _canonical_s(self, node: int) -> LaurentMatrix:
@@ -400,7 +404,8 @@ class LoopGroup:
             raise OracleInconsistent("peeled remainder is not in the Iwahori subgroup")
         if not self.in_positive_borel(b1):
             raise OracleInconsistent("accumulated unipotent part left the Iwahori subgroup")
-        assert b1 * prefix * rest == g
+        if b1 * prefix * rest != g:
+            raise OracleInconsistent("re-multiplied factorization does not reproduce the element")
         return w, b1, rest
 
     # --- misc ----------------------------------------------------------------

@@ -8,7 +8,6 @@ and folded orders are computed from the action on the fixed subspace L.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,6 +15,7 @@ from . import weyl
 from .errors import (
     NotClosedUnderComposition,
     NotInFundamentalChamber,
+    NotSpherical,
     OrbitNotSpherical,
     RankMismatch,
 )
@@ -69,16 +69,10 @@ def cone_membership(A: GeneralizedCartanMatrix, f: CoFunctional, cap: int = 200)
     Returns ("inside", w) with w.f in the closed chamber, or
     ("undecided", None) once the step cap is reached.
     """
-    w = weyl.identity_element(A)
-    cur = f
-    for _ in range(cap):
-        neg = next((i for i, x in enumerate(cur.coords) if x < 0), None)
-        if neg is None:
-            return "inside", w
-        si = weyl.simple_element(A, neg)
-        cur = dual_action(si, cur)
-        w = si * w
-    return "undecided", None
+    word = weyl.descend(A, f.coords, cap)
+    if word is None:
+        return "undecided", None
+    return "inside", weyl.from_word(A, word[::-1])
 
 
 @dataclass(frozen=True)
@@ -168,7 +162,7 @@ def orbit_longest_element(A: GeneralizedCartanMatrix, orbit) -> WeylElement:
     sub = A.submatrix(tuple(orbit))
     try:
         w0 = longest_element(sub)
-    except Exception as exc:
+    except NotSpherical as exc:
         raise OrbitNotSpherical(f"orbit {orbit} spans a non-spherical subdiagram") from exc
     return weyl.from_word(A, _embed_word(tuple(orbit), w0.word))
 
@@ -199,27 +193,12 @@ def _restrict_to_subspace(w: WeylElement, basis: list[CoFunctional]):
     return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
-def _frac_mat_mul(a, b):
-    k = len(a)
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(k))
-        for i in range(k)
-    )
-
-
-def _frac_identity(k):
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(k)) for i in range(k))
-
-
-ORDER_CAP = 60
-
-
 def relative_coxeter(A: GeneralizedCartanMatrix, autos) -> RelativeCoxeterMatrix:
     """Folded Coxeter matrix of the diagram-automorphism group.
 
     Generators are longest elements of orbit parabolics; m(O, O') is the
-    order of the product acting on the fixed subspace L, capped at
-    ORDER_CAP, with the cap reported as infinity.
+    order of the product acting on the fixed subspace L.  The restricted
+    generators are integral, so weyl.matrix_order certifies it.
     """
     autos = _closure_check(A, autos)
     orbs = orbits(A, autos)
@@ -232,22 +211,8 @@ def relative_coxeter(A: GeneralizedCartanMatrix, autos) -> RelativeCoxeterMatrix
             raise OrbitNotSpherical(f"generator of orbit {orbit} does not stabilize L")
         gens.append(restr)
     k = len(orbs)
-    ident = _frac_identity(k)
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            if i == j:
-                row.append(1)
-                continue
-            prod = _frac_mat_mul(gens[i], gens[j])
-            power = prod
-            order: float = math.inf
-            for t in range(1, ORDER_CAP + 1):
-                if power == ident:
-                    order = t
-                    break
-                power = _frac_mat_mul(power, prod)
-            row.append(order)
-        rows.append(tuple(row))
-    return RelativeCoxeterMatrix(orbs, tuple(rows))
+    rows = tuple(
+        tuple(1 if i == j else weyl.matrix_order(weyl.mat_mul(gens[i], gens[j])) for j in range(k))
+        for i in range(k)
+    )
+    return RelativeCoxeterMatrix(orbs, rows)

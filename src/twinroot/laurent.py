@@ -28,7 +28,7 @@ class LaurentPoly:
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.terms))
+        return hash((self.field.q, self.terms))
 
     @staticmethod
     def of(field: GaloisField, mapping) -> "LaurentPoly":
@@ -159,7 +159,7 @@ class LaurentMatrix:
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.n, tuple(p.terms for row in self.rows for p in row)))
+        return hash((self.field.q, self.n, tuple(p.terms for row in self.rows for p in row)))
 
     @staticmethod
     def identity(field: GaloisField, n: int) -> "LaurentMatrix":

@@ -334,20 +334,6 @@ class RootInterval:
         return tuple(g for g in self.members if g != self.beta)
 
 
-def _inversion_roots(A, w: WeylElement):
-    """Positive roots sent negative by w, via the suffix formula on the
-    canonical word."""
-    out = []
-    suffix = weyl.identity_matrix(A.n)
-    s = weyl._simple_actions(A)
-    for idx in range(len(w.word) - 1, -1, -1):
-        i = w.word[idx]
-        alpha_i = tuple(1 if k == i else 0 for k in range(A.n))
-        out.append(mat_vec(suffix, alpha_i))
-        suffix = mat_mul(suffix, s[i])
-    return out[::-1]
-
-
 def closed_interval(
     A: GeneralizedCartanMatrix,
     alpha: RootVector,
@@ -400,7 +386,8 @@ def closed_interval(
     if u is None or v is None:
         raise UndecidedError("no witness chambers within the widened search radius")
     z = v * u.inverse()
-    candidates = {mat_vec(u.inv, d) for d in _inversion_roots(A, z)}
+    # inversion_order(v) lists {d > 0 : v^{-1} d < 0}; for v = z^{-1}, the inversions of z
+    candidates = {mat_vec(u.inv, d) for d in inversion_order(A, z.inverse())}
     candidates.update({alpha.coords, beta.coords})
     members = []
     neg_a = tuple(-x for x in alpha.coords)
@@ -432,10 +419,6 @@ def closed_interval(
     return RootInterval(alpha, beta, tuple(RootVector(g) for g in sorted(members)))
 
 
-def open_interval(A, alpha, beta, search_radius: int = DEFAULT_SEARCH_RADIUS):
-    return closed_interval(A, alpha, beta, search_radius).open
-
-
 # --- nibbling sequences ------------------------------------------------------
 
 
@@ -444,16 +427,12 @@ class NibblingSequence:
     roots: tuple[RootVector, ...]
 
 
-def _parabolic_setup(A: GeneralizedCartanMatrix, J, order_cap: int = 2000):
+def _parabolic_setup(A: GeneralizedCartanMatrix, J):
     J = tuple(sorted(J))
     sub = A.submatrix(J)
-    try:
-        ball = weyl.enumerate_ball(sub, order_cap, cap=order_cap)
-    except ExplosionGuard:
-        raise NotSpherical(f"W_J for J={J} is not finite (cap {order_cap})")
-    if any(w.length >= order_cap for w in ball):
-        raise NotSpherical(f"W_J for J={J} is not finite (cap {order_cap})")
-    return J, sub, ball
+    if not weyl.is_finite(sub):
+        raise NotSpherical(f"W_J for J={J} is not finite (a principal minor is not positive)")
+    return J, sub
 
 
 def _embed(J, n, vec_sub):
@@ -469,14 +448,11 @@ def _restrict(J, vec, n):
     return tuple(vec[j] for j in J)
 
 
-def longest_element(A: GeneralizedCartanMatrix, order_cap: int = 2000) -> WeylElement:
-    """Longest element of a finite Weyl group (NotSpherical otherwise)."""
-    _, _, ball = _parabolic_setup(A, tuple(range(A.n)), order_cap)
-    top = max(w.length for w in ball)
-    longest = [w for w in ball if w.length == top]
-    if len(longest) != 1:
-        raise NotSpherical("no unique longest element; group not finite?")
-    return longest[0]
+def longest_element(A: GeneralizedCartanMatrix) -> WeylElement:
+    """Longest element of a finite Weyl group (NotSpherical otherwise): the
+    descent word of w0.rho_vee = -rho_vee."""
+    _parabolic_setup(A, tuple(range(A.n)))
+    return weyl.from_word(A, weyl.descend(A, (-1,) * A.n, weyl.DESCENT_GUARD))
 
 
 def inversion_order(A: GeneralizedCartanMatrix, w: WeylElement):
@@ -491,12 +467,7 @@ def inversion_order(A: GeneralizedCartanMatrix, w: WeylElement):
     return out
 
 
-def nibbling_sequence(
-    A: GeneralizedCartanMatrix,
-    J,
-    psi,
-    order_cap: int = 2000,
-) -> NibblingSequence:
+def nibbling_sequence(A: GeneralizedCartanMatrix, J, psi) -> NibblingSequence:
     """Order a nilpotent root set inside a spherical parabolic so that every
     open interval of a pair is sandwiched between its endpoints.
 
@@ -505,7 +476,10 @@ def nibbling_sequence(
     into the positive system).  The nibbling property is re-verified and
     OrderingFailed is raised if it does not hold.
     """
-    J, sub, ball = _parabolic_setup(A, J, order_cap)
+    J, sub = _parabolic_setup(A, J)
+    w0 = longest_element(sub)
+    top = w0.length
+    ball = _cached_ball(sub, top + 1)  # all of W_J, shared with the verification
     n = A.n
     psi = [p if isinstance(p, RootVector) else RootVector(tuple(p)) for p in psi]
     sub_psi = []
@@ -514,7 +488,7 @@ def nibbling_sequence(
         if r is None:
             raise NotNilpotentSet(f"{p} is not a root of the parabolic W_J, J={J}")
         sub_psi.append(r)
-    sub_roots = {tuple(v) for v in _root_vectors(sub, 2 * max(w.length for w in ball) + 2)}
+    sub_roots = {tuple(v) for v in _root_vectors(sub, 2 * top + 2)}
     for r in sub_psi:
         if r not in sub_roots:
             raise NotNilpotentSet(f"{r} is not a real root of W_J")
@@ -523,8 +497,6 @@ def nibbling_sequence(
     )
     if mover is None:
         raise NotNilpotentSet("no element of W_J makes the whole set positive")
-    top = max(w.length for w in ball)
-    w0 = min((w for w in ball if w.length == top), key=lambda w: w.word)
     order = inversion_order(sub, w0)
     position = {v: k for k, v in enumerate(order)}
     moved = [(position[mover.apply(r)], r) for r in sub_psi]

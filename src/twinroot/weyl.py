@@ -2,14 +2,16 @@
 
 The Weyl group of a GCM acts on Q = Z^n by s_i(v_j) = v_j - a[i][j] v_i.
 This action is faithful, so an element IS its action matrix; the canonical
-ShortLex-minimal reduced word is derived data, recomputed from the matrix by
-descent normalization.  All arithmetic is exact Python integers.
+ShortLex-minimal reduced word is derived data, read off by descent on the
+dual vector w.rho_vee.  All arithmetic is exact Python integers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExplosionGuard, IndexOutOfRange, MixedSign, RankMismatch
@@ -96,33 +98,36 @@ def root_sign(v: IntVector) -> int:
     raise MixedSign(f"{v} is not sign-coherent")
 
 
-_CANON_GUARD = 10**6
+DESCENT_GUARD = 10**6
 
 
-def _canonical_word(A: GeneralizedCartanMatrix, mat: IntMatrix, inv: IntMatrix) -> tuple[int, ...]:
-    """ShortLex-least reduced word from the action matrix.
+def _reflect(a: IntMatrix, x, i: int):
+    """Dual simple reflection s_i on V*: x_j <- x_j - a[i][j] x_i, O(n)."""
+    xi = x[i]
+    return tuple(xj - aij * xi for xj, aij in zip(x, a[i]))
 
-    Greedy: the least left descent i (column i of the inverse is a negative
-    root) is the correct first letter; strip and repeat.
+
+def descend(A: GeneralizedCartanMatrix, x, limit: int):
+    """Strip the least i with x_i < 0 and apply s_i to x, until no coordinate
+    is negative; the letters, or None if the limit-th test still finds a
+    negative coordinate (so at most limit - 1 letters come back).
+
+    For x = w.rho_vee (the coordinates x_j = rho_vee(w^{-1} alpha_j) are
+    negative exactly at the left descents of w) the letters are the
+    ShortLex-least reduced word of w (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, section 4).  For any other point they move it into the
+    closed fundamental chamber when it lies in the Tits cone.
     """
     n = A.n
-    ident = identity_matrix(n)
-    s = _simple_actions(A)
+    x = tuple(x)
     word = []
-    m, mi = mat, inv
-    for _ in range(_CANON_GUARD):
-        if m == ident:
+    for _ in range(limit):
+        i = next((k for k in range(n) if x[k] < 0), None)
+        if i is None:
             return tuple(word)
-        for i in range(n):
-            col = tuple(mi[k][i] for k in range(n))
-            if root_sign(col) < 0:
-                word.append(i)
-                m = mat_mul(s[i], m)
-                mi = mat_mul(mi, s[i])
-                break
-        else:
-            raise MixedSign("non-identity action matrix with no descent; not a Weyl element")
-    raise ExplosionGuard("word normalization exceeded the iteration guard")
+        word.append(i)
+        x = _reflect(A.a, x, i)
+    return None
 
 
 @dataclass(frozen=True)
@@ -174,7 +179,11 @@ class WeylElement:
 
 
 def _from_matrices(A: GeneralizedCartanMatrix, mat: IntMatrix, inv: IntMatrix) -> WeylElement:
-    return WeylElement(A, _canonical_word(A, mat, inv), mat, inv)
+    # w.rho_vee has the column sums of inv as coordinates
+    word = descend(A, map(sum, zip(*inv)), DESCENT_GUARD)
+    if word is None:
+        raise ExplosionGuard("word normalization exceeded the iteration guard")
+    return WeylElement(A, word, mat, inv)
 
 
 def identity_element(A: GeneralizedCartanMatrix) -> WeylElement:
@@ -187,8 +196,7 @@ def simple_element(A: GeneralizedCartanMatrix, i: int) -> WeylElement:
     return WeylElement(A, (i,), s, s)
 
 
-def from_word(A: GeneralizedCartanMatrix, word) -> WeylElement:
-    """Element represented by an arbitrary (not necessarily reduced) word."""
+def _word_matrices(A: GeneralizedCartanMatrix, word) -> tuple[IntMatrix, IntMatrix]:
     s = _simple_actions(A)
     mat = identity_matrix(A.n)
     inv = mat
@@ -197,7 +205,22 @@ def from_word(A: GeneralizedCartanMatrix, word) -> WeylElement:
             raise IndexOutOfRange(f"generator index {i} out of range for rank {A.n}")
         mat = mat_mul(mat, s[i])
         inv = mat_mul(s[i], inv)
-    return _from_matrices(A, mat, inv)
+    return mat, inv
+
+
+def from_word(A: GeneralizedCartanMatrix, word) -> WeylElement:
+    """Element represented by an arbitrary (not necessarily reduced) word."""
+    return _from_matrices(A, *_word_matrices(A, word))
+
+
+def element_of_action(A: GeneralizedCartanMatrix, mat: IntMatrix, inv: IntMatrix):
+    """The element acting on Q by mat (with inverse inv), or None if no
+    element does: the descent word read off inv is multiplied out again and
+    must reproduce both matrices."""
+    word = descend(A, map(sum, zip(*inv)), DESCENT_GUARD)
+    if word is None or _word_matrices(A, word) != (mat, inv):
+        return None
+    return WeylElement(A, word, mat, inv)
 
 
 def multiply(w1: WeylElement, w2: WeylElement) -> WeylElement:
@@ -206,26 +229,20 @@ def multiply(w1: WeylElement, w2: WeylElement) -> WeylElement:
     return _from_matrices(w1.gcm, mat_mul(w1.mat, w2.mat), mat_mul(w2.inv, w1.inv))
 
 
-def length(w: WeylElement) -> int:
-    return w.length
-
-
 def is_reduced(A: GeneralizedCartanMatrix, word) -> bool:
     """Right-to-left descent test: word reduced iff no prefix-letter kills length.
 
-    Maintains the inverse of the growing suffix u; the next letter i keeps
-    the word reduced iff u^{-1}(alpha_i) > 0.
+    Maintains x = u.rho_vee for the growing suffix u; the next letter i
+    keeps the word reduced iff i is not a left descent of u, i.e. x_i > 0.
     """
-    s = _simple_actions(A)
     n = A.n
-    suffix_inv = identity_matrix(n)
+    x = (1,) * n
     for i in reversed(tuple(word)):
         if not 0 <= i < n:
             raise IndexOutOfRange(f"generator index {i} out of range for rank {A.n}")
-        col = tuple(suffix_inv[k][i] for k in range(n))
-        if root_sign(col) < 0:
+        if x[i] < 0:
             return False
-        suffix_inv = mat_mul(suffix_inv, s[i])
+        x = _reflect(A.a, x, i)
     return True
 
 
@@ -265,23 +282,57 @@ def enumerate_ball(A: GeneralizedCartanMatrix, L: int, cap: int = DEFAULT_BALL_C
     return result
 
 
-def group_order(A: GeneralizedCartanMatrix, cap: int = 10**4) -> int | float:
-    """|W| by raw matrix closure, or math.inf once the cap is passed."""
-    s = _simple_actions(A)
-    seen = {identity_matrix(A.n)}
-    layer = list(seen)
+def _det(rows) -> Fraction:
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        m[c], m[pivot] = m[pivot], m[c]
+        det *= m[c][c] if pivot == c else -m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+@lru_cache(maxsize=256)
+def is_finite(A: GeneralizedCartanMatrix) -> bool:
+    """W is finite iff every principal minor of A is positive (Kac,
+    Infinite-dimensional Lie algebras, Thm 4.3 and Prop 4.9); exact."""
+    return all(
+        _det(A.submatrix(J).a) > 0
+        for k in range(1, A.n + 1)
+        for J in itertools.combinations(range(A.n), k)
+    )
+
+
+def group_order(A: GeneralizedCartanMatrix) -> int | float:
+    """|W| exactly, math.inf iff is_finite(A) is false."""
+    return _finite_order(A) if is_finite(A) else INF
+
+
+def _finite_order(A: GeneralizedCartanMatrix) -> int:
+    """Orbit-stabiliser for finite W: the dual orbit of the coroot
+    alpha_0^vee (the row a[0] as a point of V*) times the order of the
+    stabiliser of its dominant member x, the parabolic W_J with
+    J = {j : x_j = 0}, a proper subset."""
+    if A.n == 0:
+        return 1
+    orbit = {A.a[0]}
+    layer = list(orbit)
     while layer:
         nxt = []
-        for m in layer:
-            for g in s:
-                prod = mat_mul(m, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        if len(seen) > cap:
-            return INF
+        for x in layer:
+            for i in range(A.n):
+                y = _reflect(A.a, x, i)
+                if y not in orbit:
+                    orbit.add(y)
+                    nxt.append(y)
         layer = nxt
-    return len(seen)
+    dominant = next(x for x in orbit if min(x) >= 0)
+    return len(orbit) * _finite_order(A.submatrix(tuple(j for j, v in enumerate(dominant) if v == 0)))
 
 
 # --- exact order of integer matrices ---------------------------------------

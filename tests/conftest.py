@@ -18,3 +18,28 @@ FINITE_GCMS = {k: TEST_GCMS[k] for k in ("A2", "B2", "G2")}
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+def cartan(n, bonds):
+    """GCM of rank n with a[i][j] = -1 and a[j][i] = -k for each bond (i, j, k)."""
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, k in bonds:
+        a[i][j], a[j][i] = -1, -k
+    return gcm.validate_gcm(a)
+
+
+def _path(n):
+    return [(i, i + 1, 1) for i in range(n - 1)]
+
+
+# Finite types beyond rank 2 (Bourbaki numbering, 0-based) and two
+# infinite ones: H3 glues A2 to affine A1, K4 is the rank-4 triangle group.
+LARGER_GCMS = {
+    "A6": cartan(6, _path(6)),
+    "A7": cartan(7, _path(7)),
+    "B5": cartan(5, _path(4) + [(3, 4, 2)]),
+    "E6": cartan(6, [(0, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (1, 3, 1)]),
+    "E8": cartan(8, [(0, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1), (6, 7, 1), (1, 3, 1)]),
+    "H3": gcm.validate_gcm([[2, -1, 0], [-1, 2, -2], [0, -2, 2]]),
+    "K4": gcm.validate_gcm([[2 if i == j else -1 for j in range(4)] for i in range(4)]),
+}

@@ -177,3 +177,14 @@ def test_trd_check_cli(capsys):
     assert code == 0 and json.loads(out)["passed"] is True
     code, out, _ = run(["trd", "rsd", "--group", "su3", "--q", "2"], capsys)
     assert code == 0 and json.loads(out)["passed"] is True
+
+
+def test_group_bruhat_failed_factorization_is_a_typed_error(capsys, monkeypatch):
+    # "c":[-1] is read through negative indexing, so the re-multiplied
+    # factorization cannot reproduce the element: exit 1, one error line
+    text = '{"n": 2, "entries": [[[{"k": 0, "c": [-1]}], []], [[], [{"k": 0, "c": [1]}]]]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(["group", "bruhat", "--group", "sl2", "--q", "2"], capsys)
+    assert code == 1 and out == ""
+    lines = [ln for ln in err.splitlines() if not ln.startswith("# twinroot ")]
+    assert lines == ["error: re-multiplied factorization does not reproduce the element"]

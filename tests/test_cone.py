@@ -133,8 +133,8 @@ def test_relative_generators_are_involutions_on_l():
         r = cone.orbit_longest_element(gcm.AFFINE_A2, orbit)
         restr = cone._restrict_to_subspace(r, basis)
         assert restr is not None  # stabilizes L
-        sq = cone._frac_mat_mul(restr, restr)
-        assert sq == cone._frac_identity(len(basis))
+        sq = weyl.mat_mul(restr, restr)
+        assert sq == weyl.identity_matrix(len(basis))
 
 
 def test_orbit_not_spherical():

@@ -1,0 +1,45 @@
+"""Property tests for the Weyl kernel laws over the test GCMs."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twinroot import weyl
+
+from conftest import TEST_GCMS
+
+GCMS = st.sampled_from(sorted(TEST_GCMS)).map(TEST_GCMS.get)
+
+
+def words(A, max_size=14):
+    return st.lists(st.integers(0, A.n - 1), max_size=max_size).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_canonical_word_is_a_reduced_word_of_the_element(data):
+    A = data.draw(GCMS)
+    word = data.draw(words(A))
+    w = weyl.from_word(A, word)
+    assert weyl.from_word(A, w.word) == w
+    assert weyl.is_reduced(A, w.word)
+    assert len(word) >= w.length
+    assert weyl.is_reduced(A, word) == (len(word) == w.length)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inverse_of_a_product(data):
+    A = data.draw(GCMS)
+    u = weyl.from_word(A, data.draw(words(A)))
+    v = weyl.from_word(A, data.draw(words(A)))
+    assert (u * v).inverse() == v.inverse() * u.inverse()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_matrix_order_of_two_reflections_is_the_coxeter_entry(data):
+    A = data.draw(GCMS)
+    i = data.draw(st.integers(0, A.n - 1))
+    j = data.draw(st.integers(0, A.n - 1).filter(lambda j: j != i))
+    product = weyl.mat_mul(weyl.simple_reflection_action(A, i), weyl.simple_reflection_action(A, j))
+    assert weyl.matrix_order(product) == weyl.coxeter_matrix(A).m[i][j]

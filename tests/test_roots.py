@@ -12,7 +12,7 @@ from twinroot.errors import (
 )
 from twinroot.roots import UNDECIDED, RootVector
 
-from conftest import FINITE_GCMS, TEST_GCMS
+from conftest import FINITE_GCMS, LARGER_GCMS, TEST_GCMS
 
 
 def witness_oracle(A, alpha, beta, radius=8):
@@ -298,3 +298,25 @@ def test_reflection_matrix_is_reflection():
             m = roots.reflection_matrix(A, r)
             assert weyl.mat_mul(m, m) == weyl.identity_matrix(A.n)
             assert weyl.mat_vec(m, r.coords) == tuple(-x for x in r.coords)
+
+
+def test_longest_element_beyond_two_thousand_elements():
+    # |W(B5)| = 3840 and |W(A6)| = 5040
+    for name, top in (("B5", 25), ("A6", 21)):
+        A = LARGER_GCMS[name]
+        w0 = roots.longest_element(A)
+        assert w0.length == top
+        for i in range(A.n):
+            assert weyl.root_sign(w0.apply(roots.simple_root(A, i).coords)) < 0
+
+
+def test_longest_element_rejects_affine():
+    with pytest.raises(NotSpherical):
+        roots.longest_element(gcm.AFFINE_A1)
+
+
+def test_nibbling_in_b5():
+    # the B2 positive system at the end of B5
+    psi = [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 1), (0, 0, 0, 1, 2)]
+    seq = roots.nibbling_sequence(LARGER_GCMS["B5"], range(5), [RootVector(p) for p in psi])
+    assert sorted(r.coords for r in seq.roots) == sorted(psi)

@@ -304,3 +304,29 @@ def test_graph_json_schema():
     # node count agrees with the BFS enumeration (the cross-check the CLI
     # exports rely on)
     assert len(data["nodes"]) == len(ball.chambers)
+
+
+def test_rsd_report_is_reproducible_across_processes():
+    # the report is a function of its config and seed: set iteration order
+    # in the subgroup closures must not depend on object addresses
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tests = Path(__file__).resolve().parent
+    script = (
+        "from test_trd import tautological_basis\n"
+        "from twinroot import trd\n"
+        "G, basis = tautological_basis(4)\n"
+        "print(trd.check_rsd(trd.split_oracle(G), basis, sample_budget=24, seed=0).to_json())\n"
+    )
+    path = os.pathsep.join([str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    reports = {
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        ).stdout
+        for _ in range(3)
+    }
+    assert len(reports) == 1

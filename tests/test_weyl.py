@@ -6,7 +6,7 @@ import pytest
 from twinroot import gcm, weyl
 from twinroot.errors import ExplosionGuard, IndexOutOfRange
 
-from conftest import TEST_GCMS
+from conftest import LARGER_GCMS, TEST_GCMS
 
 
 def brute_group(A, radius=12):
@@ -201,4 +201,48 @@ def test_group_order():
     assert weyl.group_order(gcm.A2) == 6
     assert weyl.group_order(gcm.B2) == 8
     assert weyl.group_order(gcm.G2) == 12
-    assert weyl.group_order(gcm.AFFINE_A1, cap=500) == math.inf
+    assert weyl.group_order(gcm.AFFINE_A1) == math.inf
+
+
+def test_group_order_certified_beyond_closure_size():
+    assert weyl.group_order(LARGER_GCMS["A7"]) == 40320
+    assert weyl.group_order(LARGER_GCMS["E6"]) == 51840
+    assert weyl.group_order(LARGER_GCMS["E8"]) == 696729600
+    for A in (gcm.AFFINE_A1, gcm.AFFINE_A2, LARGER_GCMS["H3"], LARGER_GCMS["K4"]):
+        assert weyl.group_order(A) == math.inf
+
+
+def test_is_finite_principal_minors():
+    finite = {"A2", "B2", "G2", "A6", "A7", "B5", "E6", "E8"}
+    for name, A in {**TEST_GCMS, **LARGER_GCMS}.items():
+        assert weyl.is_finite(A) == (name in finite), name
+
+
+def test_canonical_word_is_shortlex_least_by_brute_force():
+    # every word of length <= 5 in lexicographic order, shortest first: the
+    # first word reaching a matrix is the ShortLex-least word of the element
+    for A in TEST_GCMS.values():
+        gens = [weyl.simple_reflection_action(A, i) for i in range(A.n)]
+        least = {}
+        for k in range(6):
+            for word in itertools.product(range(A.n), repeat=k):
+                mat = weyl.identity_matrix(A.n)
+                for i in word:
+                    mat = weyl.mat_mul(mat, gens[i])
+                least.setdefault(mat, word)
+        ball = weyl.enumerate_ball(A, 5)
+        assert len(ball) == len(least)
+        for w in ball:
+            assert w.word == least[w.mat]
+
+
+def test_element_of_action_certifies_the_matrices():
+    for A in TEST_GCMS.values():
+        for w in weyl.enumerate_ball(A, 3):
+            assert weyl.element_of_action(A, w.mat, w.inv) == w
+    # the diagram flip of A2 preserves the lattice but is not in W
+    flip = ((0, 1), (1, 0))
+    assert weyl.element_of_action(gcm.A2, flip, flip) is None
+    # a true element paired with a wrong inverse is rejected too
+    w = weyl.from_word(gcm.B2, (0, 1))
+    assert weyl.element_of_action(gcm.B2, w.mat, w.mat) is None
