@@ -353,6 +353,11 @@ class LoopGroup:
     def bruhat_weyl(self, g: LaurentMatrix) -> WeylElement:
         """Iwahori-Bruhat cell of g (w with g in B_+ w B_+)."""
         self._check_window(g)
+        return self._flag_weyl(g)
+
+    def _flag_weyl(self, g: LaurentMatrix) -> WeylElement:
+        """bruhat_weyl without the degree window, for products formed inside
+        bruhat_cell from an element that passed it."""
         if not g.det().is_one():
             raise NotUnimodular("group elements must have determinant 1")
         cols = [self._column(g, k) for k in range(self.n)]
@@ -391,7 +396,7 @@ class LoopGroup:
             hit = None
             for r in params:
                 cand = s_inv * self.root_group_element(self.simple_roots[i], f.neg(r)) * rest
-                if self.bruhat_weyl(cand) == target:
+                if self._flag_weyl(cand) == target:
                     hit = (r, cand)
                     break
             if hit is None:

@@ -72,12 +72,13 @@ def _csv_ints(text):
 
 
 def _root_arg(A, text) -> RootVector:
+    """A simple-root index or CSV coordinates; BadRoot unless a real root."""
+    if text is None:
+        raise TwinrootError("--alpha and --beta take a simple-root index or CSV coordinates")
     vals = _csv_ints(text)
-    if len(vals) == 1 and len(vals) != A.n:
-        return rootsmod.simple_root(A, vals[0])
-    if len(vals) == 1 and A.n == 1:
-        return rootsmod.simple_root(A, vals[0])
-    return RootVector(vals)
+    root = rootsmod.simple_root(A, vals[0]) if len(vals) == 1 else RootVector(vals)
+    rootsmod.root_witness(A, root.coords)
+    return root
 
 
 def _seed(args) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from . import weyl
 from .chevalley import LoopGroup, loop_group
 from .errors import (
     BadRoot,
@@ -25,6 +24,7 @@ from .errors import (
 from .fields import GF, GaloisField
 from .gcm import AFFINE_A1, GeneralizedCartanMatrix
 from .laurent import LaurentMatrix, LaurentPoly, diagonal, elementary
+from .roots import root_witness
 from .weyl import WeylElement
 
 REL_GCM: GeneralizedCartanMatrix = AFFINE_A1  # infinite dihedral realization
@@ -183,20 +183,20 @@ class HermitianDescentDatum:
     def root_group(self, vector) -> list[LaurentMatrix]:
         """Relative root group for any real root of the infinite dihedral
         system, by conjugating a simple one along a Weyl witness."""
-        w, node, sgn = _dihedral_witness(vector)
+        w, node, sgn = root_witness(REL_GCM, tuple(vector))
         rep = self.canonical_representative(w)
         rep_inv = rep.inverse()
         return [rep * u * rep_inv for u in self.simple_root_group(node, sgn > 0)]
 
     def root_group_center(self, vector) -> list[LaurentMatrix]:
-        w, node, sgn = _dihedral_witness(vector)
+        w, node, sgn = root_witness(REL_GCM, tuple(vector))
         rep = self.canonical_representative(w)
         rep_inv = rep.inverse()
         return [rep * u * rep_inv for u in self.simple_root_group_center(node, sgn > 0)]
 
     def mu_for(self, vector, u: LaurentMatrix) -> LaurentMatrix:
         """mu-map of a nontrivial element of the root group at `vector`."""
-        w, node, sgn = _dihedral_witness(vector)
+        w, node, sgn = root_witness(REL_GCM, tuple(vector))
         rep = self.canonical_representative(w)
         u0 = rep.inverse() * u * rep
         if not sgn > 0:
@@ -245,25 +245,6 @@ class HermitianDescentDatum:
 
     def in_borel(self, sign: int, g: LaurentMatrix) -> bool:
         return self.ambient.in_borel(sign, g) and self.is_fixed(g)
-
-
-@lru_cache(maxsize=None)
-def _dihedral_ball(radius: int):
-    return weyl.enumerate_ball(REL_GCM, radius)
-
-
-def _dihedral_witness(vector):
-    """(w, node, sign) with vector = w(sign * alpha_node) in the infinite
-    dihedral root system."""
-    vector = tuple(vector)
-    for radius in (6, 12, 24, 48):
-        for w in _dihedral_ball(radius):
-            for node in (0, 1):
-                alpha = tuple(1 if k == node else 0 for k in range(2))
-                for sgn in (1, -1):
-                    if w.apply(tuple(sgn * x for x in alpha)) == vector:
-                        return w, node, sgn
-    raise BadRoot(f"{vector} is not a real root of the relative system")
 
 
 @lru_cache(maxsize=None)

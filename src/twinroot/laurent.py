@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotUnimodular, RankMismatch
+from .errors import NotUnimodular, RankMismatch, UnknownFormat
 from .fields import FqElement, GaloisField
 
 
@@ -280,13 +280,22 @@ def matrix_from_json(field: GaloisField, data) -> LaurentMatrix:
     if isinstance(data, str):
         data = json.loads(data)
     n = int(data["n"])
+    entries = data["entries"]
+    if len(entries) != n or any(len(row) != n for row in entries):
+        raise RankMismatch(f"expected {n}x{n} entries")
     rows = []
-    for row in data["entries"]:
+    for row in entries:
         out_row = []
         for poly in row:
             acc = {}
             for term in poly:
                 coeffs = term["c"]
+                if not 1 <= len(coeffs) <= field.e or any(
+                    not isinstance(c, int) or not 0 <= c < field.p for c in coeffs
+                ):
+                    raise UnknownFormat(
+                        f"coefficient {coeffs} is not 1 to {field.e} base-{field.p} digits"
+                    )
                 value = coeffs[0] + (coeffs[1] * field.p if len(coeffs) > 1 else 0)
                 if value:
                     acc[int(term["k"])] = value

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from . import weyl
 from .errors import (
+    BadRoot,
     ExplosionGuard,
     MixedSign,
     NotNilpotentSet,
@@ -106,53 +107,44 @@ def _root_vectors(A: GeneralizedCartanMatrix, L: int, cap: int = DEFAULT_ROOT_CA
     return out
 
 
-@lru_cache(maxsize=256)
-def roots_with_witnesses(
-    A: GeneralizedCartanMatrix, L: int, cap: int = DEFAULT_ROOT_CAP
-) -> dict[IntVector, tuple[WeylElement, int, int]]:
-    """Map root -> (w, i, sign) with root = w(sign * v_i), BFS-minimal w."""
-    ident = weyl.identity_element(A)
-    gens = [weyl.simple_element(A, i) for i in range(A.n)]
-    out: dict[IntVector, tuple[WeylElement, int, int]] = {}
-    level = []
-    for i in range(A.n):
-        for sgn in (1, -1):
-            v = tuple(sgn if k == i else 0 for k in range(A.n))
-            if v not in out:
-                out[v] = (ident, i, sgn)
-                level.append(v)
-    for _ in range(L):
-        nxt = []
-        for v in sorted(level):
-            w0, i0, sgn0 = out[v]
-            for j, g in enumerate(gens):
-                u = mat_vec(g.mat, v)
-                if u not in out:
-                    out[u] = (g * w0, i0, sgn0)
-                    nxt.append(u)
-        if not nxt:
-            break
-        level = nxt
-        if len(out) > cap:
-            raise ExplosionGuard(f"root enumeration exceeded cap {cap}")
-    return out
+@lru_cache(maxsize=4096)
+def root_witness(A: GeneralizedCartanMatrix, v: IntVector) -> tuple[WeylElement, int, int]:
+    """(w, i, sign) with v = w(sign * alpha_i); BadRoot if v is not real.
 
-
-def _find_witness(A: GeneralizedCartanMatrix, target: IntVector, max_radius: int = 24):
-    """Express target as w(sign*v_i); raises MixedSign/ValueError if not real."""
-    radius = 4
-    while radius <= max_radius:
-        table = roots_with_witnesses(A, radius)
-        if target in table:
-            return table[target]
-        radius *= 2
-    raise ValueError(f"{target} not recognized as a real root within radius {max_radius}")
+    Depth descent: while v is not sign * alpha_i, apply the s_i with
+    sign * <v, alpha_i^vee> > 0 whose image is lexicographically least, so
+    the height drops at every step.  When no such i exists, v is not a real
+    root (Kac, Infinite-dimensional Lie algebras, Lemma 5.3).  The tie-break
+    gives the w a breadth-first search over the roots finds first when each
+    level is scanned in lexicographic order and the generators in index
+    order.
+    """
+    if len(v) != A.n:
+        raise RankMismatch("root length does not match the rank")
+    sign = root_sign(v)
+    x = v
+    letters = []
+    while True:
+        support = [k for k, c in enumerate(x) if c]
+        if len(support) == 1 and x[support[0]] == sign:
+            return weyl.from_word(A, letters), support[0], sign
+        images = []
+        for i, row in enumerate(A.a):
+            pairing = sum(a * c for a, c in zip(row, x))
+            if sign * pairing > 0:
+                images.append((x[:i] + (x[i] - pairing,) + x[i + 1 :], i))
+        if not images:
+            raise BadRoot(f"{v} is not a real root")
+        x, i = min(images)
+        if sign * x[i] < 0:
+            raise BadRoot(f"{v} is not a real root")
+        letters.append(i)
 
 
 @lru_cache(maxsize=4096)
 def reflection_matrix(A: GeneralizedCartanMatrix, alpha: RootVector):
     """Action matrix of the reflection through alpha (= w s_i w^{-1})."""
-    w, i, _sign = _find_witness(A, alpha.coords)
+    w, i, _sign = root_witness(A, alpha.coords)
     s = weyl.simple_reflection_action(A, i)
     return mat_mul(mat_mul(w.mat, s), w.inv)
 
@@ -165,28 +157,41 @@ def reflection_matrix(A: GeneralizedCartanMatrix, alpha: RootVector):
 # ball scan that locates chambers in three quadrants therefore certifies the
 # emptiness of the fourth.
 
+_BOTH_SIGNS = ((1, 1), (-1, -1))
+
 
 @lru_cache(maxsize=128)
 def _cached_ball(A: GeneralizedCartanMatrix, radius: int):
     return tuple(weyl.enumerate_ball(A, radius))
 
 
-def _ball_mats(A: GeneralizedCartanMatrix, radius: int):
-    return [w.mat for w in _cached_ball(A, radius)]
+def _quadrants(A: GeneralizedCartanMatrix, d1: IntVector, d2: IntVector, radius: int, need):
+    """(witnesses, verdict) for the sign-quadrants of the roots d1, d2.
 
-
-def _quadrant_scan(ball_mats, alpha: IntVector, beta: IntVector):
-    found = set()
+    witnesses maps each quadrant seen in the radius ball to its first
+    element in ball order; the scan stops once every quadrant of `need` has
+    one.  verdict maps each quadrant of `need` to True (nonempty), False
+    (certified empty) or None (undecided): an unseen one is nonempty when the
+    walls cross and empty when they do not and the three others were seen.
+    A single wall (d2 = +-d1) is settled without a scan.
+    """
+    if d2 == d1 or d2 == tuple(-x for x in d1):
+        return {}, {q: (q[0] == q[1]) == (d2 == d1) for q in need}
     witnesses = {}
-    for m in ball_mats:
-        qa = root_sign(mat_vec(m, alpha))
-        qb = root_sign(mat_vec(m, beta))
-        if (qa, qb) not in found:
-            found.add((qa, qb))
-            witnesses[(qa, qb)] = m
-            if len(found) == 4:
+    for w in _cached_ball(A, radius):
+        q = (root_sign(mat_vec(w.mat, d1)), root_sign(mat_vec(w.mat, d2)))
+        if q not in witnesses:
+            witnesses[q] = w
+            if len(witnesses) == 4 or all(k in witnesses for k in need):
                 break
-    return found, witnesses
+    verdict = {q: True for q in need if q in witnesses}
+    if len(verdict) < len(need):
+        order = weyl.matrix_order(
+            mat_mul(reflection_matrix(A, RootVector(d1)), reflection_matrix(A, RootVector(d2)))
+        )
+        settled = True if order != math.inf else (False if len(witnesses) == 3 else None)
+        verdict.update((q, settled) for q in need if q not in witnesses)
+    return witnesses, verdict
 
 
 def is_prenilpotent_pair(
@@ -205,24 +210,12 @@ def is_prenilpotent_pair(
     """
     if len(alpha.coords) != A.n or len(beta.coords) != A.n:
         raise RankMismatch("root length does not match the rank")
-    if alpha == beta:
-        return True
-    if alpha.coords == tuple(-x for x in beta.coords):
+    _, verdict = _quadrants(A, alpha.coords, beta.coords, search_radius, _BOTH_SIGNS)
+    if False in verdict.values():
         return False
-    ball = _ball_mats(A, search_radius)
-    found, _ = _quadrant_scan(ball, alpha.coords, beta.coords)
-    if (1, 1) in found and (-1, -1) in found:
-        return True
-    order = weyl.matrix_order(
-        mat_mul(reflection_matrix(A, alpha), reflection_matrix(A, beta))
-    )
-    if order != math.inf:
-        return True
-    if len(found) == 3:
-        # infinite order: exactly one quadrant is empty, and it is the
-        # missing one; the pair fails iff that quadrant is (+,+) or (-,-)
-        return False
-    return UNDECIDED
+    if None in verdict.values():
+        return UNDECIDED
+    return True
 
 
 # --- region emptiness certificates ------------------------------------------
@@ -263,41 +256,21 @@ def _farkas_empty(deltas) -> bool:
     return False
 
 
-def _pair_plus_plus_empty(A, d1: IntVector, d2: IntVector, ball_mats):
-    """Status of {chambers u : u d1 > 0 and u d2 > 0}: True = certified
-    empty, False = witnessed nonempty, None = unknown."""
-    if d1 == d2:
-        return False  # every root has a chamber on its positive side
-    if d1 == tuple(-x for x in d2):
-        return True
-    found, _ = _quadrant_scan(ball_mats, d1, d2)
-    if (1, 1) in found:
-        return False
-    order = weyl.matrix_order(
-        mat_mul(reflection_matrix(A, RootVector(d1)), reflection_matrix(A, RootVector(d2)))
-    )
-    if order != math.inf:
-        return False  # crossing walls: all quadrants nonempty
-    if len(found) == 3:
-        return True
-    return None
-
-
-def _region_empty(A, deltas, ball_mats, exhaustive: bool):
+def _region_empty(A, deltas, radius: int, exhaustive: bool):
     """Chamber-emptiness of {u : u d > 0 for all d in deltas}.
 
     Returns True/False when certified/witnessed, None when undecided.
     """
-    for m in ball_mats:
-        if all(root_sign(mat_vec(m, d)) > 0 for d in deltas):
+    for w in _cached_ball(A, radius):
+        if all(root_sign(mat_vec(w.mat, d)) > 0 for d in deltas):
             return False
     if exhaustive:
         return True
     # certificate 1: some pair already empty
     for i in range(len(deltas)):
         for j in range(i + 1, len(deltas)):
-            st = _pair_plus_plus_empty(A, deltas[i], deltas[j], ball_mats)
-            if st is True:
+            _, verdict = _quadrants(A, deltas[i], deltas[j], radius, ((1, 1),))
+            if verdict[(1, 1)] is False:
                 return True
     # certificate 2: conic (Farkas) obstruction
     if _farkas_empty(deltas):
@@ -354,37 +327,17 @@ def closed_interval(
         raise NotPrenilpotent(f"{alpha}, {beta} is not a prenilpotent pair")
     if alpha == beta:
         return RootInterval(alpha, beta, (alpha,))
-    ball_elems = _cached_ball(A, search_radius)
-    ball_mats = [w.mat for w in ball_elems]
-    exhaustive = all(w.length < search_radius for w in ball_elems)
+    exhaustive = all(w.length < search_radius for w in _cached_ball(A, search_radius))
     # witnesses exist (the pair is prenilpotent); widen the scan if needed
-    u = v = None
     radius = search_radius
-    while radius <= 8 * search_radius:
-        scan = _cached_ball(A, radius)
-        u = next(
-            (
-                w
-                for w in scan
-                if root_sign(w.apply(alpha.coords)) > 0
-                and root_sign(w.apply(beta.coords)) > 0
-            ),
-            None,
-        )
-        v = next(
-            (
-                w
-                for w in scan
-                if root_sign(w.apply(alpha.coords)) < 0
-                and root_sign(w.apply(beta.coords)) < 0
-            ),
-            None,
-        )
-        if u is not None and v is not None:
+    while True:
+        witnesses, _ = _quadrants(A, alpha.coords, beta.coords, radius, _BOTH_SIGNS)
+        if all(q in witnesses for q in _BOTH_SIGNS):
             break
+        if radius >= 8 * search_radius:
+            raise UndecidedError("no witness chambers within the widened search radius")
         radius *= 2
-    if u is None or v is None:
-        raise UndecidedError("no witness chambers within the widened search radius")
+    u, v = witnesses[(1, 1)], witnesses[(-1, -1)]
     z = v * u.inverse()
     # inversion_order(v) lists {d > 0 : v^{-1} d < 0}; for v = z^{-1}, the inversions of z
     candidates = {mat_vec(u.inv, d) for d in inversion_order(A, z.inverse())}
@@ -394,10 +347,9 @@ def closed_interval(
     neg_b = tuple(-x for x in beta.coords)
 
     def region_status(deltas):
-        status = _region_empty(A, deltas, ball_mats, exhaustive)
+        status = _region_empty(A, deltas, search_radius, exhaustive)
         if status is None:
-            wide = _ball_mats(A, 2 * search_radius)
-            status = _region_empty(A, deltas, wide, exhaustive)
+            status = _region_empty(A, deltas, 2 * search_radius, exhaustive)
         return status
 
     for gamma in sorted(candidates):

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 from . import roots as rootsmod
 from . import weyl
 from .chevalley import LoopGroup
-from .descent import HermitianDescentDatum
+from .descent import REL_GCM, HermitianDescentDatum
 from .errors import (
     NotInGeneratedGroup,
     OracleInconsistent,
@@ -97,8 +96,6 @@ def split_oracle(group: LoopGroup, name: str = None) -> GroupOracle:
 
 
 def su3_oracle(d: HermitianDescentDatum) -> GroupOracle:
-    from .descent import REL_GCM
-
     amb = d.ambient
 
     return GroupOracle(
@@ -124,29 +121,30 @@ def su3_oracle(d: HermitianDescentDatum) -> GroupOracle:
 _REL_IMAGE_WORDS = {0: (0,), 1: (1, 2, 1)}
 
 
-@lru_cache(maxsize=8)
-def _fold_table(radius: int):
-    from .chevalley import _AFFINE_GCM
-    from .descent import REL_GCM
-
-    table = {}
-    for w in weyl.enumerate_ball(REL_GCM, radius):
-        image = ()
-        for i in w.word:
-            image = image + _REL_IMAGE_WORDS[i]
-        table[weyl.from_word(_AFFINE_GCM[3], image)] = w
-    return table
-
-
 def fold_to_relative(d: HermitianDescentDatum, ambient_w: WeylElement) -> WeylElement:
-    """Match an ambient Weyl element against images of relative words."""
-    for radius in (8, 16, 32):
-        table = _fold_table(radius)
-        if ambient_w in table:
-            return table[ambient_w]
-    raise OracleInconsistent(
-        f"ambient element {ambient_w.word} is not in the image of the relative Weyl group"
-    )
+    """The relative element whose image is ambient_w.
+
+    Peels the image word of a relative generator off the left whenever all
+    its letters are left descents, read as the negative coordinates of
+    x = w.rho_vee as in weyl.descend; the image of a relative word is reached
+    by such peelings alone, so OracleInconsistent is raised when none
+    applies before the identity.
+    """
+    a = ambient_w.gcm.a
+    x = tuple(map(sum, zip(*ambient_w.inv)))
+    peeled = []
+    while True:
+        descents = {i for i, c in enumerate(x) if c < 0}
+        if not descents:
+            return weyl.from_word(REL_GCM, peeled)
+        node = next((k for k, word in _REL_IMAGE_WORDS.items() if descents.issuperset(word)), None)
+        if node is None:
+            raise OracleInconsistent(
+                f"ambient element {ambient_w.word} is not in the image of the relative Weyl group"
+            )
+        peeled.append(node)
+        for i in _REL_IMAGE_WORDS[node]:
+            x = weyl._reflect(a, x, i)
 
 
 # --- reports -------------------------------------------------------------------
@@ -544,16 +542,8 @@ class IntegratedSubgroup:
             out = self.ambient.mul(out, self.s_hat[i])
         return out
 
-    def _root_witness(self, vector):
-        A = self.ambient.gcm
-        for radius in (6, 12, 24):
-            table = rootsmod.roots_with_witnesses(A, radius)
-            if tuple(vector) in table:
-                return table[tuple(vector)]
-        raise OracleInconsistent(f"{vector} is not a real root")
-
     def root_group_elements(self, vector):
-        w, node, sgn = self._root_witness(vector)
+        w, node, sgn = rootsmod.root_witness(self.ambient.gcm, tuple(vector))
         base = list(self.basis.e_groups[node])
         if sgn < 0:
             s = self.s_hat[node]

@@ -5,7 +5,7 @@ import pytest
 from twinroot import weyl
 from twinroot.chevalley import loop_group
 from twinroot.errors import BadRoot, DegreeWindowExceeded, NotUnimodular, TrivialElement
-from twinroot.laurent import LaurentPoly, diagonal
+from twinroot.laurent import LaurentPoly, diagonal, matrix_from_json
 
 
 def random_iwahori(G, rng, steps=4):
@@ -202,6 +202,22 @@ def test_degree_window_guard():
     d = diagonal(f, (LaurentPoly.monomial(f, 4, 1), LaurentPoly.monomial(f, -4, 1)))
     with pytest.raises(DegreeWindowExceeded):
         G.bruhat_weyl(d)
+
+
+def test_bruhat_cell_peels_outside_the_window_of_its_input():
+    # span 5 over F_4 (c0 + c1 x), but the peeling products s_i^-1 u rest
+    # leave the +-8 window; only g itself is held to it
+    G = loop_group(4, 2)
+    g = matrix_from_json(
+        G.field,
+        '{"n": 2, "entries": [[[{"k": -4, "c": [1, 0]}], [{"k": -4, "c": [1, 0]}]],'
+        ' [[{"k": -5, "c": [0, 1]}], [{"k": -5, "c": [0, 1]}, {"k": 4, "c": [1, 0]}]]]}',
+    )
+    assert g.max_degree_span() == 5
+    w, b1, b2 = G.bruhat_cell(g)
+    assert w == G.bruhat_weyl(g)
+    assert w.word == (1, 0) * 5 + (1,)
+    assert b1 * G.canonical_representative(w) * b2 == g
 
 
 def test_determinant_check():

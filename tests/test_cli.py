@@ -90,6 +90,15 @@ def test_exit_codes(a2_path, affine_a1_path, capsys, tmp_path):
         capsys,
     )
     assert code == 2
+    # a radius-0 interval cannot widen its witness search: 2, not a hang
+    code, _, _ = run(
+        ["roots", "interval", "--gcm", a2_path, "--alpha", "0", "--beta", "1", "--search-radius", "0"],
+        capsys,
+    )
+    assert code == 2
+    # a missing root argument: 1, one error line
+    code, out, err = run(["roots", "positive", "--gcm", a2_path], capsys)
+    assert code == 1 and out == "" and err.count("\nerror: ") == 1
 
 
 def test_unknown_flag_rejected(capsys):
@@ -180,11 +189,35 @@ def test_trd_check_cli(capsys):
 
 
 def test_group_bruhat_failed_factorization_is_a_typed_error(capsys, monkeypatch):
-    # "c":[-1] is read through negative indexing, so the re-multiplied
-    # factorization cannot reproduce the element: exit 1, one error line
-    text = '{"n": 2, "entries": [[[{"k": 0, "c": [-1]}], []], [[], [{"k": 0, "c": [1]}]]]}'
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    code, out, err = run(["group", "bruhat", "--group", "sl2", "--q", "2"], capsys)
-    assert code == 1 and out == ""
-    lines = [ln for ln in err.splitlines() if not ln.startswith("# twinroot ")]
-    assert lines == ["error: re-multiplied factorization does not reproduce the element"]
+    # digits outside 0..p-1 are rejected when the matrix is read, before any
+    # field table is indexed: exit 1, one error line, nothing on stdout
+    for digit in (-1, 7):
+        text = '{"n": 2, "entries": [[[{"k": 0, "c": [%d]}], []], [[], [{"k": 0, "c": [1]}]]]}' % digit
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(["group", "bruhat", "--group", "sl2", "--q", "2"], capsys)
+        assert code == 1 and out == ""
+        lines = [ln for ln in err.splitlines() if not ln.startswith("# twinroot ")]
+        assert lines == [f"error: coefficient [{digit}] is not 1 to 1 base-2 digits"]
+
+
+@pytest.mark.parametrize(
+    "a, alpha",
+    [
+        ('[[2, -2], [-2, 2]]', "1,1"),  # delta of affine A1, an imaginary root
+        ('[[2, -1], [-1, 2]]', "1,2"),
+        ('[[2, -1, 0], [-1, 2, -2], [0, -2, 2]]', "1,1,1"),  # H3
+    ],
+    ids=["affine_A1", "A2", "H3"],
+)
+def test_roots_commands_reject_non_real_vectors(a, alpha, capsys, tmp_path):
+    path = tmp_path / "gcm.json"
+    path.write_text('{"n": %d, "a": %s}' % (alpha.count(",") + 1, a))
+    for argv in (
+        ["roots", "positive", "--alpha", alpha],
+        ["roots", "prenilpotent", "--alpha", alpha, "--beta", "0"],
+        ["roots", "interval", "--alpha", "0", "--beta", alpha],
+    ):
+        code, out, err = run([*argv, "--gcm", str(path)], capsys)
+        assert code == 1 and out == ""
+        lines = [ln for ln in err.splitlines() if not ln.startswith("# twinroot ")]
+        assert lines == [f"error: ({alpha.replace(',', ', ')}) is not a real root"]

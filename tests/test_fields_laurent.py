@@ -1,6 +1,6 @@
 import pytest
 
-from twinroot.errors import NotUnimodular, RankMismatch
+from twinroot.errors import NotUnimodular, RankMismatch, UnknownFormat
 from twinroot.fields import GF, FqElement, gf_of_order
 from twinroot.laurent import LaurentMatrix, LaurentPoly, diagonal, elementary, matrix_from_json
 
@@ -94,6 +94,21 @@ def test_matrix_json_round_trip():
     f = GF(3, 2)
     g = elementary(f, 3, 0, 2, LaurentPoly.of(f, {-1: 4, 2: 1}))
     assert matrix_from_json(f, g.to_json()) == g
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        ('[[[{"k": 0, "c": [1, 1]}], []], [[], [{"k": 0, "c": [1]}]]]', UnknownFormat),  # e = 1
+        ('[[[{"k": 0, "c": [2]}], []], [[], [{"k": 0, "c": [1]}]]]', UnknownFormat),
+        ('[[[{"k": 0, "c": [1]}], []]]', RankMismatch),
+        ('[[[{"k": 0, "c": [1]}]], [[], [{"k": 0, "c": [1]}]]]', RankMismatch),
+    ],
+    ids=["too-many-digits", "digit-out-of-range", "missing-row", "short-row"],
+)
+def test_matrix_json_rejects_malformed_entries(entries, error):
+    with pytest.raises(error):
+        matrix_from_json(GF(2, 1), '{"n": 2, "entries": %s}' % entries)
 
 
 def test_degree_window_span():

@@ -6,6 +6,7 @@ from twinroot import roots as rootsmod
 from twinroot import trd, weyl
 from twinroot.chevalley import loop_group
 from twinroot.descent import maximal_split_subgroup, relative_root_group, su3_datum
+from twinroot.errors import OracleInconsistent
 from twinroot.gcm import AFFINE_A1
 from twinroot.laurent import LaurentPoly, diagonal
 
@@ -287,8 +288,12 @@ def test_fold_to_relative_consistency():
     amb = d.ambient
     from twinroot.trd import _REL_IMAGE_WORDS, fold_to_relative
 
-    for w in weyl.enumerate_ball(AFFINE_A1, 4):
+    for w in weyl.enumerate_ball(AFFINE_A1, 30):
         image_word = ()
         for i in w.word:
             image_word = image_word + _REL_IMAGE_WORDS[i]
         assert fold_to_relative(d, weyl.from_word(amb.gcm, image_word)) == w
+    # s_1 and s_1 s_0 are not fixed by the diagram flip 1 <-> 2
+    for word in ((1,), (1, 0)):
+        with pytest.raises(OracleInconsistent):
+            fold_to_relative(d, weyl.from_word(amb.gcm, word))

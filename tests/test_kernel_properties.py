@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinroot import weyl
+from twinroot import roots, weyl
 
 from conftest import TEST_GCMS
 
@@ -43,3 +43,16 @@ def test_matrix_order_of_two_reflections_is_the_coxeter_entry(data):
     j = data.draw(st.integers(0, A.n - 1).filter(lambda j: j != i))
     product = weyl.mat_mul(weyl.simple_reflection_action(A, i), weyl.simple_reflection_action(A, j))
     assert weyl.matrix_order(product) == weyl.coxeter_matrix(A).m[i][j]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_root_witness_is_no_longer_than_any_word_reaching_the_root(data):
+    A = data.draw(GCMS)
+    w = weyl.from_word(A, data.draw(words(A)))
+    i = data.draw(st.integers(0, A.n - 1))
+    sign = data.draw(st.sampled_from((1, -1)))
+    root = w.apply(tuple(sign if k == i else 0 for k in range(A.n)))
+    u, j, s = roots.root_witness(A, root)
+    assert u.apply(tuple(s if k == j else 0 for k in range(A.n))) == root
+    assert u.length <= w.length

@@ -1,9 +1,11 @@
 import itertools
+import time
 
 import pytest
 
 from twinroot import gcm, roots, weyl
 from twinroot.errors import (
+    BadRoot,
     MixedSign,
     NotNilpotentSet,
     NotPrenilpotent,
@@ -320,3 +322,64 @@ def test_nibbling_in_b5():
     psi = [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 1), (0, 0, 0, 1, 2)]
     seq = roots.nibbling_sequence(LARGER_GCMS["B5"], range(5), [RootVector(p) for p in psi])
     assert sorted(r.coords for r in seq.roots) == sorted(psi)
+
+
+def bfs_witnesses(A, L):
+    """Reference: root -> (w, i, sign) with root = w(sign * alpha_i), by a
+    breadth-first search from the signed simple roots that scans each level
+    in lexicographic order and the generators in index order."""
+    gens = [weyl.simple_element(A, i) for i in range(A.n)]
+    out = {}
+    level = []
+    for i in range(A.n):
+        for sgn in (1, -1):
+            v = tuple(sgn if k == i else 0 for k in range(A.n))
+            out[v] = (weyl.identity_element(A), i, sgn)
+            level.append(v)
+    for _ in range(L):
+        nxt = []
+        for v in sorted(level):
+            w0, i0, sgn0 = out[v]
+            for g in gens:
+                u = weyl.mat_vec(g.mat, v)
+                if u not in out:
+                    out[u] = (g * w0, i0, sgn0)
+                    nxt.append(u)
+        level = nxt
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    [(name, 6) for name in {**TEST_GCMS, **LARGER_GCMS}] + [("affine_A1", 24), ("affine_A2", 24)],
+)
+def test_root_witness_matches_breadth_first_reference(name, radius):
+    A = {**TEST_GCMS, **LARGER_GCMS}[name]
+    for v, expected in bfs_witnesses(A, radius).items():
+        assert roots.root_witness(A, v) == expected
+
+
+@pytest.mark.parametrize(
+    "A, word, v",
+    [
+        # depth 11 in the rank-4 triangle group, past the former radius-24 table
+        (LARGER_GCMS["K4"], (0, 1, 2, 3, 0, 1, 2, 3, 0, 1), (165, 96, 56, 32)),
+        # alpha_0 + 49 delta in affine A1, past the former radius-48 ball
+        (gcm.AFFINE_A1, None, (50, 49)),
+    ],
+)
+def test_root_witness_of_deep_roots(A, word, v):
+    if word is not None:
+        assert weyl.from_word(A, word).apply((0, 0, 1, 0)) == v
+    start = time.perf_counter()
+    w, i, sign = roots.root_witness(A, v)
+    assert time.perf_counter() - start < 1.0
+    assert w.apply(tuple(sign if k == i else 0 for k in range(A.n))) == v
+
+
+@pytest.mark.parametrize("A, v", [(gcm.AFFINE_A1, (1, 1)), (LARGER_GCMS["H3"], (1, 1, 1)), (gcm.A2, (1, 2))])
+def test_root_witness_rejects_non_real_vectors(A, v):
+    with pytest.raises(BadRoot):
+        roots.root_witness(A, v)
+    with pytest.raises(BadRoot):
+        roots.root_witness(A, tuple(-x for x in v))
