@@ -1,8 +1,10 @@
 """Real roots as half-spaces: prenilpotency, intervals, nibbling orders.
 
-Prenilpotency decisions are certificate-based (finite reflection-product
-order, or three located sign-quadrants), never heuristics; UNDECIDED is
-a first-class answer when a bounded search cannot certify either way.
+Prenilpotency is decided exactly from the two pairings <beta, alpha^vee>
+and <alpha, beta^vee>: crossing walls (product at most 3) or walls nested in
+the same direction (<beta, alpha^vee> > 0).  No search radius is involved.
+Interval membership is certificate-based and raises UndecidedError when a
+bounded search certifies neither way.
 
 Run: python3 demos/03_real_roots_intervals_nibbling.py
 """

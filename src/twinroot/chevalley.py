@@ -108,9 +108,6 @@ class LoopGroup:
                     return (i, j, k)
         raise BadRoot(f"{vector} is not a real root of the affine system")
 
-    def level_of_vector(self, vector) -> int:
-        return vector[0]
-
     # --- elements ------------------------------------------------------------
 
     def identity(self) -> LaurentMatrix:

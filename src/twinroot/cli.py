@@ -17,7 +17,7 @@ from .chevalley import loop_group
 from .descent import anisotropic_kernel, maximal_split_subgroup, relative_root_group, su3_datum
 from .errors import TwinrootError, UndecidedError, UnknownFormat
 from .laurent import matrix_from_json
-from .roots import UNDECIDED, RootVector
+from .roots import RootVector
 from .trd import export_graph
 
 
@@ -158,13 +158,8 @@ def _dispatch_roots(args):
     elif args.subverb == "positive":
         _emit(_json(rootsmod.is_positive(_root_arg(A, args.alpha))))
     elif args.subverb == "prenilpotent":
-        result = rootsmod.is_prenilpotent_pair(
-            A, _root_arg(A, args.alpha), _root_arg(A, args.beta), args.search_radius
-        )
-        if result is UNDECIDED:
-            print("undecided at the configured search radius", file=sys.stderr)
-            return 2
-        _emit(_json(result))
+        alpha, beta = _root_arg(A, args.alpha), _root_arg(A, args.beta)
+        _emit(_json(rootsmod.is_prenilpotent_pair(A, alpha, beta)))
     elif args.subverb == "interval":
         interval = rootsmod.closed_interval(
             A, _root_arg(A, args.alpha), _root_arg(A, args.beta), args.search_radius

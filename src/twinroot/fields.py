@@ -93,10 +93,6 @@ class GaloisField:
     def units(self):
         return range(1, self.q)
 
-    def prime_subfield(self):
-        """Values fixed by Frobenius (all of F_q when e = 1)."""
-        return [a for a in self.elements() if self.frobenius(a) == a]
-
     def trace_zero(self):
         return [a for a in self.elements() if self.trace(a) == 0]
 

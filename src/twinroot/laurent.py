@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NotUnimodular, RankMismatch, UnknownFormat
 from .fields import FqElement, GaloisField
@@ -168,11 +167,6 @@ class LaurentMatrix:
             field, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
         )
 
-    @staticmethod
-    def from_rows(field: GaloisField, rows) -> "LaurentMatrix":
-        rows = tuple(tuple(rows[i][j] for j in range(len(rows))) for i in range(len(rows)))
-        return LaurentMatrix(field, len(rows), rows)
-
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self.rows[i][j]
 
@@ -253,10 +247,6 @@ class LaurentMatrix:
     def is_identity(self) -> bool:
         return self == LaurentMatrix.identity(self.field, self.n)
 
-    def constant_term(self) -> tuple[tuple[int, ...], ...]:
-        """Value at t = 0 when all valuations are >= 0."""
-        return tuple(tuple(p.coeff(0) for p in row) for row in self.rows)
-
     def max_degree_span(self) -> int:
         exps = [e for row in self.rows for p in row for e, _ in p.terms]
         return max((abs(e) for e in exps), default=0)
@@ -277,20 +267,29 @@ class LaurentMatrix:
 
 
 def matrix_from_json(field: GaloisField, data) -> LaurentMatrix:
+    """Read {"n": int, "entries": n x n lists of {"k": int, "c": digits}
+    terms}; anything else raises UnknownFormat or RankMismatch."""
     if isinstance(data, str):
         data = json.loads(data)
-    n = int(data["n"])
-    entries = data["entries"]
-    if len(entries) != n or any(len(row) != n for row in entries):
+    if not (
+        isinstance(data, dict) and isinstance(data.get("n"), int) and isinstance(data.get("entries"), list)
+    ):
+        raise UnknownFormat('a matrix is an object {"n": int, "entries": [rows]}')
+    n, entries = data["n"], data["entries"]
+    if len(entries) != n or any(not isinstance(row, list) or len(row) != n for row in entries):
         raise RankMismatch(f"expected {n}x{n} entries")
     rows = []
     for row in entries:
         out_row = []
         for poly in row:
+            if not isinstance(poly, list) or not all(
+                isinstance(term, dict) and isinstance(term.get("k"), int) for term in poly
+            ):
+                raise UnknownFormat(f"entry {poly} is not a list of {{k: int, c: digits}} terms")
             acc = {}
             for term in poly:
                 coeffs = term["c"]
-                if not 1 <= len(coeffs) <= field.e or any(
+                if not isinstance(coeffs, list) or not 1 <= len(coeffs) <= field.e or any(
                     not isinstance(c, int) or not 0 <= c < field.p for c in coeffs
                 ):
                     raise UnknownFormat(
@@ -302,11 +301,6 @@ def matrix_from_json(field: GaloisField, data) -> LaurentMatrix:
             out_row.append(LaurentPoly(field, tuple(sorted(acc.items()))))
         rows.append(tuple(out_row))
     return LaurentMatrix(field, n, tuple(rows))
-
-
-@lru_cache(maxsize=None)
-def _zero_one(field):
-    return LaurentPoly.zero(field), LaurentPoly.one(field)
 
 
 def elementary(field: GaloisField, n: int, i: int, j: int, poly: LaurentPoly) -> LaurentMatrix:

@@ -2,16 +2,16 @@
 
 Roots are integer vectors in the W-orbit of the (signed) simple roots,
 identified with half-spaces of chambers: the chamber indexed by u in W lies
-on the positive side of gamma iff u(gamma) > 0.  Decision procedures are
-certificate-based; a bounded search that produces neither a witness nor a
-certificate raises UndecidedError (or returns the UNDECIDED sentinel), never
-a silent guess.
+on the positive side of gamma iff u(gamma) > 0.  Prenilpotency is decided
+exactly from two pairings, and interval witness chambers come from the orbit
+of the pair's dihedral reflection group, so neither needs a radius.  Interval
+membership is certificate-based; a bounded search that produces neither a
+witness nor a certificate raises UndecidedError, never a silent guess.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,25 +24,14 @@ from .errors import (
     NotNilpotentSet,
     NotPrenilpotent,
     NotSpherical,
+    OracleInconsistent,
     OrderingFailed,
     RankMismatch,
     UndecidedError,
 )
-from .gcm import GeneralizedCartanMatrix, IntVector
+from .gcm import GeneralizedCartanMatrix, IntMatrix, IntVector
 from .weyl import WeylElement, mat_mul, mat_vec, root_sign
 
-
-class _Undecided:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "UNDECIDED"
-
-    def __bool__(self):
-        raise TypeError("UNDECIDED has no truth value; compare with `is`")
-
-
-UNDECIDED = _Undecided()
 
 DEFAULT_SEARCH_RADIUS = 8
 DEFAULT_ROOT_CAP = 10**5
@@ -150,75 +139,98 @@ def reflection_matrix(A: GeneralizedCartanMatrix, alpha: RootVector):
 
 
 # --- prenilpotency -----------------------------------------------------------
-#
-# For distinct walls the classical dichotomy holds: the product of the two
-# reflections has finite order iff the walls cross (all four sign-quadrants
-# contain chambers); with infinite order exactly one quadrant is empty.  A
-# ball scan that locates chambers in three quadrants therefore certifies the
-# emptiness of the fourth.
 
-_BOTH_SIGNS = ((1, 1), (-1, -1))
+
+def _pairing(A: GeneralizedCartanMatrix, x: IntVector, y: IntVector) -> tuple[int, int]:
+    """(<y, x^vee>, t) for real roots x, y, with t the sign of w^{-1} y for
+    the witness (w, i, s) of x: x = w(s alpha_i), so x^vee = w(s alpha_i^vee)
+    and <y, x^vee> = s (A w^{-1} y)_i."""
+    w, i, s = root_witness(A, x)
+    z = w.apply_inverse(y)
+    return s * sum(a * c for a, c in zip(A.a[i], z)), root_sign(z)
+
+
+def _empty_diagonal(A: GeneralizedCartanMatrix, x: IntVector, y: IntVector) -> tuple[int, ...]:
+    """The signs t for which no chamber u has t u(x) > 0 and t u(y) > 0.
+
+    Exact, from the two pairings c = <y, x^vee> and c' = <x, y^vee> (Kac,
+    Infinite-dimensional Lie algebras, ch. 5; Abramenko-Brown, Buildings,
+    on walls and prenilpotent pairs).  Take x != +-y.  A point f of a
+    chamber has coordinates (a, b) = (f(x), f(y)); the reflections act on
+    them by r_x: (a, b) -> (-a, b - c a) and r_y: (a, b) -> (a - c' b, -b),
+    and on span(x, y) with trace(r_x r_y) = c c' - 2.  If c = 0 then
+    r_x r_y r_x = r_y, so (r_x r_y)^2 = 1 and c' = 0; a sign mismatch of c
+    and c' contradicts the theory and raises OracleInconsistent.
+    - 0 <= c c' <= 3: r_x r_y has finite order, the walls cross and all
+      four sign quadrants hold chambers.
+    - c c' >= 4: the order is infinite, the walls are parallel and some
+      quadrant is empty.  With (w, i, s) the witness of x and t the sign of
+      w^{-1} y, the chambers w^{-1} and s_i w^{-1} lie in the quadrants
+      (s, t) and (-s, t), since s_i keeps the sign of every real root but
+      +-alpha_i; so (t, t) holds a chamber, with a point (a, b).  If c > 0,
+      r_x(a, b) lies in (-t, -t) unless t b >= c t a, and then
+      t(a - c' b) <= t a (1 - c c') < 0 puts r_y(a, b) there: the pair is
+      prenilpotent.  If c < 0, r_y(a, b) lies in (t, -t); three quadrants
+      hold chambers, so (-t, -t) is empty.
+    """
+    if y == x:
+        return ()
+    if y == tuple(-v for v in x):
+        return (1, -1)
+    c, t = _pairing(A, x, y)
+    c_dual, _ = _pairing(A, y, x)
+    if (c > 0) - (c < 0) != (c_dual > 0) - (c_dual < 0):
+        raise OracleInconsistent(f"the pairings {c} and {c_dual} of {x} and {y} differ in sign")
+    if c * c_dual <= 3 or c > 0:
+        return ()
+    return (-t,)
+
+
+def is_prenilpotent_pair(A: GeneralizedCartanMatrix, alpha: RootVector, beta: RootVector) -> bool:
+    """True iff some chamber lies on the positive side of both roots and some
+    chamber on the negative side of both; decided exactly by _empty_diagonal."""
+    if len(alpha.coords) != A.n or len(beta.coords) != A.n:
+        raise RankMismatch("root length does not match the rank")
+    return not _empty_diagonal(A, alpha.coords, beta.coords)
+
+
+def _dihedral_walk(r0: IntMatrix, r1: IntMatrix):
+    """(mat, inv) of every element of the group two involutions generate: the
+    identity, then the two alternating words of each length in turn."""
+    ident = weyl.identity_matrix(len(r0))
+    yield ident, ident
+    words = [(ident, ident, 0), (ident, ident, 1)]
+    refl = (r0, r1)
+    while True:
+        words = [(mat_mul(m, refl[k]), mat_mul(refl[k], inv), 1 - k) for m, inv, k in words]
+        for m, inv, _ in words:
+            yield m, inv
+
+
+def _witness_chambers(A: GeneralizedCartanMatrix, alpha: RootVector, beta: RootVector):
+    """The first u and v of D = <r_alpha, r_beta> on the dihedral walk with
+    u(alpha), u(beta) > 0 and v(alpha), v(beta) < 0, for a prenilpotent pair
+    with alpha != +-beta.
+
+    The walk ends: D acts simply transitively on the chambers of its own
+    walls, those of alpha and beta among them, so each nonempty quadrant
+    holds some D-chamber and with it a chamber u^{-1}C, u in D.  When the
+    walls cross, |D| <= 12.
+    """
+    found = {}
+    for mat, inv in _dihedral_walk(reflection_matrix(A, alpha), reflection_matrix(A, beta)):
+        q = (root_sign(mat_vec(mat, alpha.coords)), root_sign(mat_vec(mat, beta.coords)))
+        found.setdefault(q, (mat, inv))
+        if (1, 1) in found and (-1, -1) in found:
+            return weyl._from_matrices(A, *found[(1, 1)]), weyl._from_matrices(A, *found[(-1, -1)])
+
+
+# --- region emptiness certificates ------------------------------------------
 
 
 @lru_cache(maxsize=128)
 def _cached_ball(A: GeneralizedCartanMatrix, radius: int):
     return tuple(weyl.enumerate_ball(A, radius))
-
-
-def _quadrants(A: GeneralizedCartanMatrix, d1: IntVector, d2: IntVector, radius: int, need):
-    """(witnesses, verdict) for the sign-quadrants of the roots d1, d2.
-
-    witnesses maps each quadrant seen in the radius ball to its first
-    element in ball order; the scan stops once every quadrant of `need` has
-    one.  verdict maps each quadrant of `need` to True (nonempty), False
-    (certified empty) or None (undecided): an unseen one is nonempty when the
-    walls cross and empty when they do not and the three others were seen.
-    A single wall (d2 = +-d1) is settled without a scan.
-    """
-    if d2 == d1 or d2 == tuple(-x for x in d1):
-        return {}, {q: (q[0] == q[1]) == (d2 == d1) for q in need}
-    witnesses = {}
-    for w in _cached_ball(A, radius):
-        q = (root_sign(mat_vec(w.mat, d1)), root_sign(mat_vec(w.mat, d2)))
-        if q not in witnesses:
-            witnesses[q] = w
-            if len(witnesses) == 4 or all(k in witnesses for k in need):
-                break
-    verdict = {q: True for q in need if q in witnesses}
-    if len(verdict) < len(need):
-        order = weyl.matrix_order(
-            mat_mul(reflection_matrix(A, RootVector(d1)), reflection_matrix(A, RootVector(d2)))
-        )
-        settled = True if order != math.inf else (False if len(witnesses) == 3 else None)
-        verdict.update((q, settled) for q in need if q not in witnesses)
-    return witnesses, verdict
-
-
-def is_prenilpotent_pair(
-    A: GeneralizedCartanMatrix,
-    alpha: RootVector,
-    beta: RootVector,
-    search_radius: int = DEFAULT_SEARCH_RADIUS,
-):
-    """True / False / UNDECIDED, never a guess.
-
-    True needs either chambers where both roots are positive and both
-    negative (witnesses), or crossing walls (finite reflection-product
-    order, a certified test).  False needs certified emptiness of a
-    (+,+) or (-,-) quadrant, available once the three other quadrants
-    have been seen.
-    """
-    if len(alpha.coords) != A.n or len(beta.coords) != A.n:
-        raise RankMismatch("root length does not match the rank")
-    _, verdict = _quadrants(A, alpha.coords, beta.coords, search_radius, _BOTH_SIGNS)
-    if False in verdict.values():
-        return False
-    if None in verdict.values():
-        return UNDECIDED
-    return True
-
-
-# --- region emptiness certificates ------------------------------------------
 
 
 def _farkas_empty(deltas) -> bool:
@@ -269,8 +281,7 @@ def _region_empty(A, deltas, radius: int, exhaustive: bool):
     # certificate 1: some pair already empty
     for i in range(len(deltas)):
         for j in range(i + 1, len(deltas)):
-            _, verdict = _quadrants(A, deltas[i], deltas[j], radius, ((1, 1),))
-            if verdict[(1, 1)] is False:
+            if 1 in _empty_diagonal(A, deltas[i], deltas[j]):
                 return True
     # certificate 2: conic (Farkas) obstruction
     if _farkas_empty(deltas):
@@ -298,14 +309,6 @@ class RootInterval:
     def open(self) -> tuple[RootVector, ...]:
         return tuple(g for g in self.members if g != self.alpha and g != self.beta)
 
-    @property
-    def left_open(self) -> tuple[RootVector, ...]:
-        return tuple(g for g in self.members if g != self.alpha)
-
-    @property
-    def right_open(self) -> tuple[RootVector, ...]:
-        return tuple(g for g in self.members if g != self.beta)
-
 
 def closed_interval(
     A: GeneralizedCartanMatrix,
@@ -315,33 +318,26 @@ def closed_interval(
 ) -> RootInterval:
     """[alpha, beta] by half-space containment.
 
-    Candidates are the roots separating a both-positive witness chamber from
-    a both-negative one (finitely many); each candidate gamma is kept iff the
-    regions (-gamma, alpha, beta) and (gamma, -alpha, -beta) are certified
-    chamber-empty.
+    Candidates are the roots crossed by a minimal gallery from a
+    both-positive witness chamber u to a both-negative one v (from the
+    dihedral walk), between its crossings of the alpha- and beta-walls:
+    the chambers before the first of these are both-positive and those
+    after the second both-negative, and a member separates every such pair.
+    Each candidate gamma is kept iff the regions (-gamma, alpha, beta) and
+    (gamma, -alpha, -beta) are certified chamber-empty; search_radius bounds
+    those certificates only.
     """
-    pren = is_prenilpotent_pair(A, alpha, beta, search_radius)
-    if pren is UNDECIDED:
-        raise UndecidedError(f"prenilpotency of {alpha}, {beta} undecided at radius {search_radius}")
-    if pren is False:
+    if not is_prenilpotent_pair(A, alpha, beta):
         raise NotPrenilpotent(f"{alpha}, {beta} is not a prenilpotent pair")
     if alpha == beta:
         return RootInterval(alpha, beta, (alpha,))
     exhaustive = all(w.length < search_radius for w in _cached_ball(A, search_radius))
-    # witnesses exist (the pair is prenilpotent); widen the scan if needed
-    radius = search_radius
-    while True:
-        witnesses, _ = _quadrants(A, alpha.coords, beta.coords, radius, _BOTH_SIGNS)
-        if all(q in witnesses for q in _BOTH_SIGNS):
-            break
-        if radius >= 8 * search_radius:
-            raise UndecidedError("no witness chambers within the widened search radius")
-        radius *= 2
-    u, v = witnesses[(1, 1)], witnesses[(-1, -1)]
-    z = v * u.inverse()
-    # inversion_order(v) lists {d > 0 : v^{-1} d < 0}; for v = z^{-1}, the inversions of z
-    candidates = {mat_vec(u.inv, d) for d in inversion_order(A, z.inverse())}
-    candidates.update({alpha.coords, beta.coords})
+    u, v = _witness_chambers(A, alpha, beta)
+    # inversion_order(u v^{-1}) lists the walls crossed on a minimal gallery
+    # from C to u v^{-1} C, in order; u^{-1} moves them to the gallery u -> v
+    crossed = [mat_vec(u.inv, d) for d in inversion_order(A, u * v.inverse())]
+    first, last = sorted((crossed.index(alpha.coords), crossed.index(beta.coords)))
+    candidates = set(crossed[first : last + 1])
     members = []
     neg_a = tuple(-x for x in alpha.coords)
     neg_b = tuple(-x for x in beta.coords)
@@ -462,7 +458,7 @@ def _verify_nibbling(sub, ordered, search_radius):
     for i in range(len(ordered)):
         for j in range(i + 1, len(ordered)):
             a, b = RootVector(ordered[i]), RootVector(ordered[j])
-            if is_prenilpotent_pair(sub, a, b, search_radius) is not True:
+            if not is_prenilpotent_pair(sub, a, b):
                 raise OrderingFailed(f"pair {a}, {b} is not prenilpotent")
             between = {tuple(r) for r in ordered[i + 1 : j]}
             for g in closed_interval(sub, a, b, search_radius).open:

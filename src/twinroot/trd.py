@@ -242,12 +242,7 @@ def check_trd(
             for b in window_roots[i + 1 :]:
                 if a == tuple(-x for x in b):
                     continue
-                if (
-                    rootsmod.is_prenilpotent_pair(
-                        A, RootVector(a), RootVector(b), search_radius
-                    )
-                    is True
-                ):
+                if rootsmod.is_prenilpotent_pair(A, RootVector(a), RootVector(b)):
                     pairs.append((a, b))
         rng.shuffle(pairs)
         checked = 0
@@ -450,12 +445,7 @@ def check_rsd(
                 if i == j:
                     continue
                 a, b = oracle.simple_vector(i), oracle.simple_vector(j)
-                if (
-                    rootsmod.is_prenilpotent_pair(
-                        A, RootVector(a), RootVector(b), search_radius
-                    )
-                    is not True
-                ):
+                if not rootsmod.is_prenilpotent_pair(A, RootVector(a), RootVector(b)):
                     continue
                 interval = rootsmod.closed_interval(
                     A, RootVector(a), RootVector(b), search_radius

@@ -72,7 +72,7 @@ def test_byte_stable_output(a2_path, capsys):
     assert tree1 == tree2
 
 
-def test_exit_codes(a2_path, affine_a1_path, capsys, tmp_path):
+def test_exit_codes(a2_path, affine_a1_path, affine_a2_path, capsys, tmp_path):
     # invalid input: 1
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 1, "a": [[3]]}')
@@ -81,21 +81,30 @@ def test_exit_codes(a2_path, affine_a1_path, capsys, tmp_path):
     # missing file: 1
     code, _, _ = run(["weyl", "coxeter", "--gcm", str(tmp_path / "nope.json")], capsys)
     assert code == 1
-    # undecided: 2 (tiny search radius starves the certificate search)
-    code, _, err = run(
+    # prenilpotency needs no search radius: decided even at radius 0
+    code, out, err = run(
         [
             "roots", "prenilpotent", "--gcm", affine_a1_path,
             "--alpha", "3,2", "--beta=-2,-1", "--search-radius", "0",
         ],
         capsys,
     )
-    assert code == 2
-    # a radius-0 interval cannot widen its witness search: 2, not a hang
-    code, _, _ = run(
+    assert code == 0 and out == "false\n"
+    # radius-0 interval witnesses come from the dihedral walk, not a ball
+    code, out, _ = run(
         ["roots", "interval", "--gcm", a2_path, "--alpha", "0", "--beta", "1", "--search-radius", "0"],
         capsys,
     )
-    assert code == 2
+    assert code == 0 and json.loads(out) == [[0, 1], [1, 0], [1, 1]]
+    # undecided: 2 (a radius-0 ball starves a membership certificate)
+    code, _, err = run(
+        [
+            "roots", "interval", "--gcm", affine_a2_path,
+            "--alpha=-1,0,0", "--beta", "0,1,1", "--search-radius", "0",
+        ],
+        capsys,
+    )
+    assert code == 2 and "containment test for candidate (0, 1, 0)" in err
     # a missing root argument: 1, one error line
     code, out, err = run(["roots", "positive", "--gcm", a2_path], capsys)
     assert code == 1 and out == "" and err.count("\nerror: ") == 1
@@ -198,6 +207,25 @@ def test_group_bruhat_failed_factorization_is_a_typed_error(capsys, monkeypatch)
         assert code == 1 and out == ""
         lines = [ln for ln in err.splitlines() if not ln.startswith("# twinroot ")]
         assert lines == [f"error: coefficient [{digit}] is not 1 to 1 base-2 digits"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "entries": [[[{"k": 0, "c": 1}], []], [[], [{"k": 0, "c": [1]}]]]}',
+        '{"n": 2, "entries": [[[[0, 1]], []], [[], [{"k": 0, "c": [1]}]]]}',
+        '{"n": 2, "entries": [[[{"k": [0], "c": [1]}], []], [[], [{"k": 0, "c": [1]}]]]}',
+        '{"n": 2, "entries": [1, 2]}',
+        "[1, 2]",
+    ],
+    ids=["coefficient_not_a_list", "term_not_an_object", "exponent_not_an_int", "row_not_a_list", "not_an_object"],
+)
+def test_group_bruhat_malformed_matrices_are_typed_errors(text, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(["group", "bruhat", "--group", "sl2", "--q", "2"], capsys)
+    assert code == 1 and out == ""
+    lines = [ln for ln in err.splitlines() if not ln.startswith("# twinroot ")]
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import pytest
@@ -12,7 +13,7 @@ from twinroot.errors import (
     NotSpherical,
     OrderingFailed,
 )
-from twinroot.roots import UNDECIDED, RootVector
+from twinroot.roots import RootVector
 
 from conftest import FINITE_GCMS, LARGER_GCMS, TEST_GCMS
 
@@ -117,7 +118,7 @@ def test_prenilpotent_matches_witness_oracle_affine():
         rr = roots.enumerate_real_roots(A, 3)
         for a, b in itertools.combinations(rr, 2):
             got = roots.is_prenilpotent_pair(A, a, b)
-            assert got is not UNDECIDED, (a, b)
+            assert isinstance(got, bool), (a, b)
             assert got == witness_oracle(A, a, b), (a, b)
 
 
@@ -127,6 +128,59 @@ def test_finite_groups_prenilpotent_pairs():
         for a, b in itertools.combinations(rr, 2):
             expected = a.coords != tuple(-x for x in b.coords)
             assert roots.is_prenilpotent_pair(A, a, b) is expected
+
+
+# rank 3, a01 a12 a20 = -1 but a10 a21 a02 = -2: not symmetrizable
+NON_SYMMETRIZABLE = gcm.validate_gcm([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+
+
+def quadrant_scan_oracle(A, signs, x, y):
+    """The ball-scan quadrant certificate the pairing rule replaced, as a
+    reference: {(1, 1): v, (-1, -1): v} with v True (the quadrant holds a
+    chamber), False (certified empty) or None (undecided).  signs[x] lists
+    sign(w x) over a Weyl ball.  A quadrant seen in the ball holds a chamber;
+    crossing walls (finite order of r_x r_y) put chambers in all four; with
+    parallel walls exactly one quadrant is empty, so an unseen quadrant is
+    empty once the three others were seen."""
+    if y == x or y == tuple(-v for v in x):
+        return {q: (q[0] == q[1]) == (y == x) for q in ((1, 1), (-1, -1))}
+    seen = set(zip(signs[x], signs[y]))
+    product = weyl.mat_mul(roots.reflection_matrix(A, RootVector(x)), roots.reflection_matrix(A, RootVector(y)))
+    crossing = weyl.matrix_order(product) != math.inf
+    return {
+        q: True if q in seen or crossing else (False if len(seen) == 3 else None)
+        for q in ((1, 1), (-1, -1))
+    }
+
+
+@pytest.mark.parametrize(
+    "name, root_radius, ball_radius",
+    [(name, 3, 8) for name in TEST_GCMS] + [("H3", 3, 8), ("K4", 2, 5), ("non_symmetrizable", 3, 6)],
+)
+def test_pairing_rule_matches_quadrant_scan(name, root_radius, ball_radius):
+    A = {**TEST_GCMS, **LARGER_GCMS, "non_symmetrizable": NON_SYMMETRIZABLE}[name]
+    rr = [r.coords for r in roots.enumerate_real_roots(A, root_radius)]
+    ball = weyl.enumerate_ball(A, ball_radius)
+    signs = {x: [weyl.root_sign(w.apply(x)) for w in ball] for x in rr}
+    for x, y in itertools.product(rr, rr):
+        want = quadrant_scan_oracle(A, signs, x, y)
+        assert None not in want.values(), (x, y)
+        got = roots.is_prenilpotent_pair(A, RootVector(x), RootVector(y))
+        assert got is (want[(1, 1)] and want[(-1, -1)]), (x, y)
+        # the (+,+)-emptiness certificate of the interval membership tests
+        assert (1 in roots._empty_diagonal(A, x, y)) is (want[(1, 1)] is False), (x, y)
+
+
+@pytest.mark.parametrize(
+    "beta, expected",
+    [((-2, -1), False), ((-29, -28), False), ((2, 1), True)],
+)
+def test_prenilpotent_deep_affine_pairs(beta, expected):
+    # alpha_0 + 29 delta lies far outside any default search radius
+    A, alpha = gcm.AFFINE_A1, RootVector((30, 29))
+    got = roots.is_prenilpotent_pair(A, alpha, RootVector(beta))
+    assert got is expected
+    assert witness_oracle(A, alpha, RootVector(beta), radius=80) is expected
 
 
 def test_interval_a2():
@@ -224,6 +278,20 @@ def test_interval_equivariance():
                 assert {r.coords for r in moved.members} == {
                     w.apply(r.coords) for r in base.members
                 }
+
+
+def test_interval_equivariance_non_symmetrizable():
+    A = NON_SYMMETRIZABLE
+    signed = [r for i in range(A.n) for r in (roots.simple_root(A, i), -roots.simple_root(A, i))]
+    # every pair of simple walls crosses (a_ij a_ji <= 3), so every pair of
+    # signed simple roots but the opposite ones is prenilpotent
+    pairs = [(a, b) for a, b in itertools.combinations(signed, 2) if a != -b]
+    assert all(roots.is_prenilpotent_pair(A, a, b) for a, b in pairs)
+    for w in weyl.enumerate_ball(A, 3):
+        for a, b in pairs:
+            base = roots.closed_interval(A, a, b)
+            moved = roots.closed_interval(A, RootVector(w.apply(a.coords)), RootVector(w.apply(b.coords)))
+            assert {r.coords for r in moved.members} == {w.apply(r.coords) for r in base.members}
 
 
 def test_affine_nested_interval():
