@@ -144,7 +144,7 @@ class LoopGroup:
             for j in range(self.n):
                 p = g.entry(i, j)
                 if i == j:
-                    if not p.is_unit():
+                    if not p.is_monomial():
                         return False
                 elif not p.is_zero():
                     return False
@@ -343,7 +343,7 @@ class LoopGroup:
         for src, (i, e) in cols.items():
             rows[i][src] = LaurentPoly.monomial(f, e, 1)
         m = LaurentMatrix(f, n, tuple(tuple(r) for r in rows))
-        if m.det().is_unit():
+        if m.det().is_monomial():
             return m
         raise OracleInconsistent("jump profile did not produce a monomial pattern")
 

@@ -119,13 +119,11 @@ class LaurentPoly:
         return LaurentPoly(self.field, tuple((e + k, v) for e, v in self.terms))
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def is_unit(self) -> bool:
+        """Nonzero monomial; over a field these are the units of F_q[t, t^-1]."""
         return len(self.terms) == 1
 
     def unit_inverse(self) -> "LaurentPoly":
-        if not self.is_unit():
+        if not self.is_monomial():
             raise NotUnimodular(f"{self} is not a unit of the Laurent ring")
         (e, v), = self.terms
         return LaurentPoly(self.field, ((-e, self.field.inv(v)),))
@@ -222,7 +220,7 @@ class LaurentMatrix:
 
     def inverse(self) -> "LaurentMatrix":
         d = self.det()
-        if not d.is_unit():
+        if not d.is_monomial():
             raise NotUnimodular("matrix determinant is not a unit")
         dinv = d.unit_inverse()
         adj = self.adjugate()

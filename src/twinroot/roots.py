@@ -271,13 +271,9 @@ def _farkas_empty(deltas) -> bool:
 def _region_empty(A, deltas, radius: int, exhaustive: bool):
     """Chamber-emptiness of {u : u d > 0 for all d in deltas}.
 
-    Returns True/False when certified/witnessed, None when undecided.
+    Returns True/False when certified/witnessed, None when undecided.  The
+    two exact certificates run before the ball scan, which only they spare.
     """
-    for w in _cached_ball(A, radius):
-        if all(root_sign(mat_vec(w.mat, d)) > 0 for d in deltas):
-            return False
-    if exhaustive:
-        return True
     # certificate 1: some pair already empty
     for i in range(len(deltas)):
         for j in range(i + 1, len(deltas)):
@@ -286,7 +282,10 @@ def _region_empty(A, deltas, radius: int, exhaustive: bool):
     # certificate 2: conic (Farkas) obstruction
     if _farkas_empty(deltas):
         return True
-    return None
+    for w in _cached_ball(A, radius):
+        if all(root_sign(mat_vec(w.mat, d)) > 0 for d in deltas):
+            return False
+    return True if exhaustive else None
 
 
 @dataclass(frozen=True)

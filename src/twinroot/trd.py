@@ -46,8 +46,8 @@ class GroupOracle:
     canonical_s: object  # node -> matrix
     birkhoff: object  # g -> WeylElement over gcm
     level_of_root: object  # vector -> int
-    bruhat_key: object = None  # g -> hashable, constant on g B_+ (optional)
-    birkhoff_key: object = None  # g -> hashable, constant on g B_- (optional)
+    bruhat_key: object  # g -> hashable, constant on g B_+
+    birkhoff_key: object  # g -> hashable, constant on g B_-
 
     def simple_vector(self, i: int):
         return tuple(1 if k == i else 0 for k in range(self.gcm.n))
@@ -453,7 +453,6 @@ def check_rsd(
                 open_roots = [g.coords for g in interval.open]
                 u_open = _interval_group_elements(oracle, open_roots)
                 u_beta = oracle.root_group_elements(b)
-                u_half = {oracle.mul(x, u) for x in u_open for u in u_beta}
                 factor = {}
                 for x in u_open:
                     for u in u_beta:
@@ -461,7 +460,7 @@ def check_rsd(
                         if prod in factor and factor[prod] != (x, u):
                             return False, checked, f"non-unique factorization in U_({i},{j}]"
                         factor[prod] = (x, u)
-                universe = sorted(u_half, key=str)
+                universe = sorted(factor, key=str)
                 # single-generator closures first (they expose diagonal-type
                 # violations), then sampled two-generator ones, within budget
                 singles = universe[: max(4, sample_budget // 4)]
@@ -469,7 +468,7 @@ def check_rsd(
                 for _ in range(max(1, sample_budget // 20)):
                     gen_sets.append(rng.sample(universe, min(2, len(universe))))
                 for gens in gen_sets:
-                    X = _subgroup_closure(oracle, basis, gens, u_half)
+                    X = _subgroup_closure(oracle, basis, gens, factor)
                     for x in X:
                         u1, u2 = factor[x]
                         checked += 1
@@ -486,22 +485,30 @@ def check_rsd(
 
 
 def _subgroup_closure(oracle, basis, gens, universe):
+    """The T_d-stable subgroup generated by gens, by one walk from the
+    identity whose steps are x -> x g for g in gens and x -> tau x tau^-1 for
+    tau in T_d.
+
+    The set X the walk reaches is closed under both steps.  Inside the finite
+    universe, conjugation by tau and right multiplication by g are injective
+    maps of X into itself, hence bijections, so X is also closed under their
+    inverses: X is a group, closed under right multiplication by every T_d
+    conjugate of a generator, and so it is the T_d-stable subgroup they
+    generate.  No element of X is inverted.  OracleInconsistent is raised
+    when a step leaves the universe.
+    """
+    conjugators = [(tau, oracle.inv(tau)) for tau in basis.torus_elements]
     out = {oracle.identity}
-    frontier = list(gens)
+    frontier = [oracle.identity]
     while frontier:
-        g = frontier.pop()
-        if g in out:
-            continue
-        out.add(g)
-        new = [oracle.inv(g)]
-        new.extend(oracle.mul(g, h) for h in list(out))
-        new.extend(oracle.mul(h, g) for h in list(out))
-        for tau in basis.torus_elements:
-            new.append(oracle.mul(oracle.mul(tau, g), oracle.inv(tau)))
-        for h in new:
+        x = frontier.pop()
+        steps = [oracle.mul(x, g) for g in gens]
+        steps.extend(oracle.mul(oracle.mul(tau, x), tau_inv) for tau, tau_inv in conjugators)
+        for h in steps:
             if h not in out:
                 if h not in universe:
                     raise OracleInconsistent("closure left U_(alpha,beta]")
+                out.add(h)
                 frontier.append(h)
     return out
 
@@ -633,11 +640,11 @@ class IntegratedSubgroup:
                 total = amb.mul(total, x)
                 s = self.s_hat[node]
                 e = amb.mul(amb.mul(amb.inv(s), x), s)
-                s2inv = amb.inv(amb.mul(s, s))
-                if not self.basis.is_torus(amb.inv(s2inv)):
+                s2 = amb.mul(s, s)
+                if not self.basis.is_torus(s2):
                     raise RsdViolation(f"s_{node}^2 is not in T_d")
                 expanded.extend(
-                    [("s", node), ("e", node, e), ("torus", s2inv), ("s", node)]
+                    [("s", node), ("e", node, e), ("torus", amb.inv(s2)), ("s", node)]
                 )
             else:
                 raise NotInGeneratedGroup(f"unknown token {tok[0]}")
@@ -679,7 +686,7 @@ class IntegratedSubgroup:
                         conj = amb.mul(amb.mul(m_short, e1), amb.inv(m_short))
                         v1 = amb.mul(v1, conj)
                         m_hat = amb.mul(m_short, mid)
-                        v2 = amb.mul(amb.mul(e2, v_pp), ident)
+                        v2 = amb.mul(e2, v_pp)
         if amb.mul(amb.mul(v1, m_hat), v2) != total:
             raise OracleInconsistent("VwV normal form does not reconstruct the input")
         return v1, w, m_hat, v2
@@ -738,66 +745,55 @@ class ChamberGraph:
         return "\n".join(lines) + "\n"
 
 
-def building_ball(
-    oracle: GroupOracle, sign: int, radius: int, cap: int = 20000
-) -> ChamberGraph:
-    """BFS of the chamber graph of G/B_sign out to the given gallery radius."""
-    amb = oracle
-    ident = amb.identity
+BUILDING_BALL_CAP = 20000  # chambers
+
+
+def building_ball(oracle: GroupOracle, sign: int, radius: int) -> ChamberGraph:
+    """BFS of the chamber graph of G/B_sign out to the given gallery radius.
+
+    The moves u s_hat across each panel type are formed once.  A target
+    chamber is looked up among the chambers with its coset key (Bruhat cell
+    for sign +1, Birkhoff cell for -1), by a Borel test against their
+    representatives' inverses, each computed once when its chamber is found.
+    """
+    key = oracle.bruhat_key if sign > 0 else oracle.birkhoff_key
+    moves = {}
+    for node in range(oracle.gcm.n):
+        vector = tuple(sign * x for x in oracle.simple_vector(node))
+        s_hat = oracle.canonical_s(node)
+        moves[node] = [oracle.mul(u, s_hat) for u in oracle.root_group_elements(vector)]
+    ident = oracle.identity
     chambers = [TwinChamber(sign, (), (), ident)]
-    keys = [_coset_key(oracle, sign, ident)]
-    panel_sizes = {}
+    by_key = {key(ident): [(0, ident)]}  # coset key -> [(index, rep^-1)]
     edge_set = set()
     frontier = [0]
     for _layer in range(radius):
         new_frontier = []
         for idx in frontier:
             c = chambers[idx]
-            for node in range(oracle.gcm.n):
-                vector = oracle.simple_vector(node)
-                if sign < 0:
-                    vector = tuple(-x for x in vector)
-                s_hat = oracle.canonical_s(node)
-                moves = [
-                    amb.mul(u, s_hat) for u in oracle.root_group_elements(vector)
-                ]
-                panel_sizes.setdefault(node, len(moves) + 1)
-                if panel_sizes[node] != len(moves) + 1:
-                    raise OracleInconsistent("inconsistent panel size")
+            for node, node_moves in moves.items():
                 panel = [idx]
-                for pidx, mv in enumerate(moves):
-                    target = amb.mul(c.rep, mv)
-                    tkey = _coset_key(oracle, sign, target)
-                    found = None
-                    for j, (other, okey) in enumerate(zip(chambers, keys)):
-                        if okey != tkey:
-                            continue
-                        if oracle.in_borel(sign, amb.mul(amb.inv(other.rep), target)):
-                            found = j
-                            break
+                for pidx, mv in enumerate(node_moves):
+                    target = oracle.mul(c.rep, mv)
+                    tkey = key(target)
+                    same_key = by_key.setdefault(tkey, [])
+                    found = next(
+                        (j for j, rep_inv in same_key if oracle.in_borel(sign, oracle.mul(rep_inv, target))),
+                        None,
+                    )
                     if found is None:
-                        chambers.append(
-                            TwinChamber(sign, c.word + (node,), c.params + (pidx,), target)
-                        )
-                        keys.append(tkey)
-                        found = len(chambers) - 1
+                        found = len(chambers)
+                        chambers.append(TwinChamber(sign, c.word + (node,), c.params + (pidx,), target))
+                        same_key.append((found, oracle.inv(target)))
                         new_frontier.append(found)
-                        if len(chambers) > cap:
-                            raise OracleInconsistent(f"ball exceeded cap {cap}")
+                        if len(chambers) > BUILDING_BALL_CAP:
+                            raise OracleInconsistent(f"ball exceeded cap {BUILDING_BALL_CAP}")
                     panel.append(found)
                 # chambers sharing a panel form a clique
-                for a in panel:
-                    for b in panel:
-                        if a < b:
-                            edge_set.add((a, b, node))
+                edge_set.update((a, b, node) for a in panel for b in panel if a < b)
         frontier = new_frontier
-    edges = sorted(edge_set)
-    return ChamberGraph(sign, chambers, edges, panel_sizes)
-
-
-def _coset_key(oracle: GroupOracle, sign: int, g):
-    fn = oracle.bruhat_key if sign > 0 else oracle.birkhoff_key
-    return fn(g) if fn is not None else ()
+    panel_sizes = {node: len(node_moves) + 1 for node, node_moves in moves.items()}
+    return ChamberGraph(sign, chambers, sorted(edge_set), panel_sizes)
 
 
 def codistance(oracle: GroupOracle, cplus: TwinChamber, cminus: TwinChamber) -> WeylElement:

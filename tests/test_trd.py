@@ -1,12 +1,15 @@
+import random
 from dataclasses import replace
 
 import pytest
 
+from twinroot import roots as rootsmod
 from twinroot import trd, weyl
 from twinroot.chevalley import loop_group
 from twinroot.descent import maximal_split_subgroup, su3_datum
-from twinroot.errors import SameSign
+from twinroot.errors import OracleInconsistent, SameSign
 from twinroot.laurent import LaurentPoly, diagonal
+from twinroot.roots import RootVector
 
 
 def sl2_oracle(q=3):
@@ -330,3 +333,174 @@ def test_rsd_report_is_reproducible_across_processes():
         for _ in range(3)
     }
     assert len(reports) == 1
+
+
+# --- the former group-oracle walks, kept as test-local references -----------------
+
+
+def two_sided_closure(oracle, basis, gens, universe):
+    """The closure walk trd._subgroup_closure replaced: each new element is
+    inverted and multiplied on both sides by every element found so far."""
+    out = {oracle.identity}
+    frontier = list(gens)
+    while frontier:
+        g = frontier.pop()
+        if g in out:
+            continue
+        out.add(g)
+        new = [oracle.inv(g)]
+        new.extend(oracle.mul(g, h) for h in list(out))
+        new.extend(oracle.mul(h, g) for h in list(out))
+        for tau in basis.torus_elements:
+            new.append(oracle.mul(oracle.mul(tau, g), oracle.inv(tau)))
+        for h in new:
+            if h not in out:
+                if h not in universe:
+                    raise OracleInconsistent("closure left U_(alpha,beta]")
+                frontier.append(h)
+    return out
+
+
+def rsd5_closure_inputs(oracle, pairs, sample_budget, seed):
+    """(gens, U_(a,b]) for every closure RSD5 forms on the root pairs (a, b),
+    built as check_rsd builds them, without stopping at a failure."""
+    rng = random.Random(seed)
+    for a, b in pairs:
+        interval = rootsmod.closed_interval(oracle.gcm, RootVector(a), RootVector(b))
+        u_open = trd._interval_group_elements(oracle, [g.coords for g in interval.open])
+        universe = {oracle.mul(x, u) for x in u_open for u in oracle.root_group_elements(b)}
+        ordered = sorted(universe, key=str)
+        gen_sets = [[g] for g in ordered[: max(4, sample_budget // 4)]]
+        for _ in range(max(1, sample_budget // 20)):
+            gen_sets.append(rng.sample(ordered, min(2, len(ordered))))
+        for gens in gen_sets:
+            yield gens, universe
+
+
+def _simple_prenilpotent_pairs(oracle):
+    simple = [oracle.simple_vector(i) for i in range(oracle.gcm.n)]
+    return [
+        (a, b)
+        for a in simple
+        for b in simple
+        if a != b and rootsmod.is_prenilpotent_pair(oracle.gcm, RootVector(a), RootVector(b))
+    ]
+
+
+def _closure_case(name):
+    if name.startswith("tautological"):
+        G, basis = tautological_basis(int(name[-1]))
+        orc = trd.split_oracle(G)
+        return orc, basis, _simple_prenilpotent_pairs(orc)
+    if name == "subfield-F3":
+        G9, basis = subfield_basis()
+        orc = trd.split_oracle(G9)
+    else:
+        d, _, basis = center_line_basis(2)
+        orc = trd.su3_oracle(d)
+    # no simple pair of these rank-2 affine data is prenilpotent, so RSD5
+    # forms no closure for them; the pairs below have a nonempty open interval
+    assert not _simple_prenilpotent_pairs(orc)
+    return orc, basis, [((1, 0), (3, 2)), ((0, 1), (2, 3))]
+
+
+@pytest.mark.parametrize("name", ["tautological-F2", "tautological-F4", "subfield-F3", "center-line"])
+def test_closure_matches_two_sided_reference(name):
+    orc, basis, pairs = _closure_case(name)
+    compared = 0
+    # sample_budget=24, seed=0, as in the tautological reports above
+    for gens, universe in rsd5_closure_inputs(orc, pairs, 24, 0):
+        got = trd._subgroup_closure(orc, basis, gens, universe)
+        assert got == two_sided_closure(orc, basis, gens, universe), gens
+        compared += 1
+    assert compared >= 5 * len(pairs)
+
+
+def test_closure_leaving_the_universe_raises():
+    # over F_9 the subfield line has order 3, so u * u leaves {1, u}; over
+    # F_4 (characteristic 2) u * u = 1 and only a torus conjugate leaves it
+    G9, basis9 = subfield_basis()
+    G4, basis4 = tautological_basis(4)
+    for G, basis, u in ((G9, basis9, G9.u(0, 1)), (G4, basis4, G4.u(0, 1))):
+        orc = trd.split_oracle(G)
+        universe = {orc.identity, u}
+        for closure in (trd._subgroup_closure, two_sided_closure):
+            with pytest.raises(OracleInconsistent):
+                closure(orc, basis, [u], universe)
+
+
+def linear_scan_balls(oracle, sign, radius):
+    """The building_ball walk that chamber lookup by coset key replaced, as
+    one ChamberGraph per radius 0..radius (the walk to radius r runs the
+    first r layers): root groups asked again at every chamber, and a target
+    matched by scanning every chamber with its coset key, inverting that
+    chamber's representative at each test."""
+    key = oracle.bruhat_key if sign > 0 else oracle.birkhoff_key
+    ident = oracle.identity
+    chambers = [trd.TwinChamber(sign, (), (), ident)]
+    keys = [key(ident)]
+    panel_sizes = {}
+    edge_set = set()
+    frontier = [0]
+    graphs = [trd.ChamberGraph(sign, list(chambers), [], {})]
+    for _layer in range(radius):
+        new_frontier = []
+        for idx in frontier:
+            c = chambers[idx]
+            for node in range(oracle.gcm.n):
+                vector = tuple(sign * x for x in oracle.simple_vector(node))
+                s_hat = oracle.canonical_s(node)
+                moves = [oracle.mul(u, s_hat) for u in oracle.root_group_elements(vector)]
+                panel_sizes.setdefault(node, len(moves) + 1)
+                panel = [idx]
+                for pidx, mv in enumerate(moves):
+                    target = oracle.mul(c.rep, mv)
+                    tkey = key(target)
+                    found = None
+                    for j, (other, okey) in enumerate(zip(chambers, keys)):
+                        if okey == tkey and oracle.in_borel(sign, oracle.mul(oracle.inv(other.rep), target)):
+                            found = j
+                            break
+                    if found is None:
+                        chambers.append(trd.TwinChamber(sign, c.word + (node,), c.params + (pidx,), target))
+                        keys.append(tkey)
+                        found = len(chambers) - 1
+                        new_frontier.append(found)
+                    panel.append(found)
+                for a in panel:
+                    for b in panel:
+                        if a < b:
+                            edge_set.add((a, b, node))
+        frontier = new_frontier
+        graphs.append(trd.ChamberGraph(sign, list(chambers), sorted(edge_set), dict(panel_sizes)))
+    return graphs
+
+
+def _integrated_f_oracle():
+    d, F, basis = center_line_basis(2)
+    sl2 = F.sl2
+    integ = trd.integrate_subdatum(trd.su3_oracle(d), basis, birkhoff=lambda g: sl2.birkhoff_cell(F.to_sl2(g)))
+    return integ.oracle()
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    # SU_3(F_2) stops at radius 2: the reference takes over 4 s per sign at 3
+    [("SL2(F2)", 3), ("SL2(F3)", 3), ("SL3(F2)", 3), ("SU3(F2)", 2), ("F", 3)],
+)
+def test_building_ball_matches_linear_scan_reference(name, radius):
+    orc = {
+        "SL2(F2)": lambda: sl2_oracle(2),
+        "SL2(F3)": lambda: sl2_oracle(3),
+        "SL3(F2)": lambda: sl3_oracle(2),
+        "SU3(F2)": lambda: su3_oracle(2),
+        "F": _integrated_f_oracle,
+    }[name]()
+    for sign in (+1, -1):
+        refs = linear_scan_balls(orc, sign, radius)
+        for r, ref in enumerate(refs):
+            ball = trd.building_ball(orc, sign, r)
+            assert ball.to_json() == ref.to_json(), (sign, r)
+            assert ball.to_dot() == ref.to_dot(), (sign, r)
+            # the panel sizes are now known before the first layer
+            assert ball.panel_sizes == refs[-1].panel_sizes, (sign, r)
