@@ -175,53 +175,45 @@ class LoopGroup:
     def in_borel(self, sign: int, g: LaurentMatrix) -> bool:
         return self.in_positive_borel(g) if sign > 0 else self.in_negative_borel(g)
 
-    # --- Weyl elements from monomial matrices --------------------------------
+    # --- Weyl elements from monomial patterns --------------------------------
+    #
+    # A pattern lists (pi(j), e_j) for each column j of a monomial matrix,
+    # whose column j is a unit times t^(e_j) e_(pi(j)).  Conjugating by it
+    # sends the root group of (i, j, k) to that of (pi(i), pi(j), k + e_i - e_j)
+    # and its inverse has the pattern (pi^-1, -e o pi^-1) (Bjorner-Brenti,
+    # Combinatorics of Coxeter Groups, ch. 8: affine permutations).
 
-    def is_monomial(self, g: LaurentMatrix) -> bool:
-        for i in range(self.n):
-            if sum(0 if g.entry(i, j).is_zero() else 1 for j in range(self.n)) != 1:
-                return False
-            if sum(0 if g.entry(j, i).is_zero() else 1 for j in range(self.n)) != 1:
-                return False
-        return all(
-            g.entry(i, j).is_zero() or g.entry(i, j).is_monomial()
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+    def _weyl_of_pattern(self, pattern) -> WeylElement:
+        """Affine Weyl element acting on the root groups as the pattern's
+        matrices do; OracleInconsistent if pi is not a permutation or no
+        Weyl element acts that way."""
+        inverse = [None] * self.n
+        for j, (i, e) in enumerate(pattern):
+            inverse[i] = (j, -e)
+        if None in inverse:
+            raise OracleInconsistent("pattern rows do not form a permutation")
 
-    def _conjugate_root(self, m: LaurentMatrix, m_inv: LaurentMatrix, root: AffineRoot) -> AffineRoot:
-        conj = m * self.root_group_element(root, 1) * m_inv
-        found = None
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    continue
-                p = conj.entry(i, j)
-                if p.is_zero():
-                    continue
-                if found is not None or not p.is_monomial():
-                    raise OracleInconsistent("conjugate of a root element is not a root element")
-                found = (i, j, p.val)
-        if found is None:
-            raise OracleInconsistent("conjugate of a root element is trivial")
-        return found
+        def action(p):
+            images = ((p[i][0], p[j][0], k + p[i][1] - p[j][1]) for i, j, k in self.simple_roots)
+            cols = [self.root_vector(root) for root in images]
+            return tuple(tuple(col[r] for col in cols) for r in range(self.n))
 
-    def weyl_from_monomial(self, m: LaurentMatrix) -> WeylElement:
-        """Abstract affine Weyl element of a monomial matrix, read off from
-        its conjugation action on the simple root groups; OracleInconsistent
-        if no Weyl element acts that way."""
-        m_inv = m.inverse()
-        cols = []
-        cols_inv = []
-        for root in self.simple_roots:
-            cols.append(self.root_vector(self._conjugate_root(m, m_inv, root)))
-            cols_inv.append(self.root_vector(self._conjugate_root(m_inv, m, root)))
-        mat = tuple(tuple(cols[j][i] for j in range(self.n)) for i in range(self.n))
-        inv = tuple(tuple(cols_inv[j][i] for j in range(self.n)) for i in range(self.n))
-        w = weyl.element_of_action(self.gcm, mat, inv)
+        w = weyl.element_of_action(self.gcm, action(pattern), action(inverse))
         if w is None:
             raise OracleInconsistent("monomial matrix does not act as a Weyl element")
         return w
+
+    def weyl_from_monomial(self, m: LaurentMatrix) -> WeylElement:
+        """Abstract affine Weyl element of a monomial matrix, read off from
+        its pattern; OracleInconsistent if m is not monomial or no Weyl
+        element acts as it does."""
+        pattern = []
+        for j in range(self.n):
+            nonzero = [(i, m.entry(i, j)) for i in range(self.n) if not m.entry(i, j).is_zero()]
+            if len(nonzero) != 1 or not nonzero[0][1].is_monomial():
+                raise OracleInconsistent("matrix is not monomial")
+            pattern.append((nonzero[0][0], nonzero[0][1].val))
+        return self._weyl_of_pattern(pattern)
 
     @lru_cache(maxsize=None)
     def _canonical_s(self, node: int) -> LaurentMatrix:
@@ -329,46 +321,28 @@ class LoopGroup:
             out.append(d)
         return out
 
-    def _pattern_from_profile(self, profile, reversed_basis: bool) -> LaurentMatrix:
+    def _cell(self, g: LaurentMatrix, down: bool) -> WeylElement:
+        """w with g in B_+ w B_+ (down=True) or B_+ w B_- (down=False).  The
+        jump profile of the columns (reversed for B_-) is the affine
+        permutation: jump d puts its column at row i = d mod n, exponent
+        (i - d) / n."""
+        if not g.det().is_one():
+            raise NotUnimodular("group elements must have determinant 1")
         n = self.n
-        f = self.field
-        zero = LaurentPoly.zero(f)
-        cols = {}
-        for k, d in enumerate(profile):
-            src = (n - 1 - k) if reversed_basis else k
-            i = d % n
-            e = (i - d) // n
-            cols[src] = (i, e)
-        rows = [[zero] * n for _ in range(n)]
-        for src, (i, e) in cols.items():
-            rows[i][src] = LaurentPoly.monomial(f, e, 1)
-        m = LaurentMatrix(f, n, tuple(tuple(r) for r in rows))
-        if m.det().is_monomial():
-            return m
-        raise OracleInconsistent("jump profile did not produce a monomial pattern")
+        order = range(n) if down else range(n - 1, -1, -1)
+        profile = self._reduce_profile([self._column(g, k) for k in order], down)
+        pattern = [(d % n, (d % n - d) // n) for d in profile]
+        return self._weyl_of_pattern(pattern if down else pattern[::-1])
 
     def bruhat_weyl(self, g: LaurentMatrix) -> WeylElement:
         """Iwahori-Bruhat cell of g (w with g in B_+ w B_+)."""
         self._check_window(g)
-        return self._flag_weyl(g)
-
-    def _flag_weyl(self, g: LaurentMatrix) -> WeylElement:
-        """bruhat_weyl without the degree window, for products formed inside
-        bruhat_cell from an element that passed it."""
-        if not g.det().is_one():
-            raise NotUnimodular("group elements must have determinant 1")
-        cols = [self._column(g, k) for k in range(self.n)]
-        profile = self._reduce_profile(cols, down=True)
-        return self.weyl_from_monomial(self._pattern_from_profile(profile, False))
+        return self._cell(g, True)
 
     def birkhoff_cell(self, g: LaurentMatrix) -> WeylElement:
         """w with g in B_+ w B_-."""
         self._check_window(g)
-        if not g.det().is_one():
-            raise NotUnimodular("group elements must have determinant 1")
-        cols = [self._column(g, self.n - 1 - k) for k in range(self.n)]
-        profile = self._reduce_profile(cols, down=False)
-        return self.weyl_from_monomial(self._pattern_from_profile(profile, True))
+        return self._cell(g, False)
 
     def bruhat_cell(self, g: LaurentMatrix, rng=None):
         """(w, b1, b2) with g = b1 * canonical_rep(w) * b2 exactly.
@@ -386,14 +360,15 @@ class LoopGroup:
         for pos, i in enumerate(w.word):
             s_i = self._canonical_s(i)
             s_inv = s_i.inverse()
-            target = weyl.from_word(self.gcm, w.word[pos + 1 :])
+            target = w.word[pos + 1 :]
             params = list(f.elements())
             if rng is not None:
                 rng.shuffle(params)
             hit = None
             for r in params:
                 cand = s_inv * self.root_group_element(self.simple_roots[i], f.neg(r)) * rest
-                if self._flag_weyl(cand) == target:
+                # a suffix of a ShortLex-least word is ShortLex-least
+                if self._cell(cand, True).word == target:
                     hit = (r, cand)
                     break
             if hit is None:

@@ -11,11 +11,12 @@ q^3 whose center is the b-line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .chevalley import LoopGroup, loop_group
 from .errors import (
     BadRoot,
+    NotUnimodular,
     OracleInconsistent,
     RankMismatch,
     TrivialElement,
@@ -51,11 +52,14 @@ class HermitianDescentDatum:
         return self.form * g.bar().transpose().inverse() * self.form.inverse()
 
     def is_fixed(self, g: LaurentMatrix) -> bool:
-        return self.sigma(g) == g
+        """sigma(g) == g, as bar(g)^T J g == J (J is its own inverse); det g must be a unit."""
+        if not g.det().is_monomial():
+            raise NotUnimodular("matrix determinant is not a unit")
+        return g.bar().transpose() * self.form * g == self.form
 
     # --- distinguished constants -------------------------------------------
 
-    @property
+    @cached_property
     def kappa(self) -> int:
         """Canonical nonzero trace-zero element of the extension."""
         return self.ext.trace_zero()[1]
@@ -135,12 +139,12 @@ class HermitianDescentDatum:
         minus = self.affine_node_element(e.neg(e.inv(r)), sign=-1)
         return minus * self.affine_node_element(r) * minus
 
-    @property
+    @cached_property
     def s0(self) -> LaurentMatrix:
         """Canonical reflection representative for relative node 0."""
         return self.mu_affine(self.ext.inv(self.kappa))
 
-    @property
+    @cached_property
     def s1(self) -> LaurentMatrix:
         """Canonical reflection representative for relative node 1."""
         return self.mu_metabelian(0, self.kappa)
@@ -198,15 +202,15 @@ class HermitianDescentDatum:
         """mu-map of a nontrivial element of the root group at `vector`."""
         w, node, sgn = root_witness(REL_GCM, tuple(vector))
         rep = self.canonical_representative(w)
-        u0 = rep.inverse() * u * rep
-        if not sgn > 0:
+        rep_inv = rep.inverse()
+        u0 = rep_inv * u * rep
+        if sgn > 0:
+            m0 = self._mu_simple(node, u0)
+        else:
             s = self.canonical_s(node)
-            u0 = s * u0 * s.inverse()
-        m0 = self._mu_simple(node, u0)
-        if not sgn > 0:
-            s = self.canonical_s(node)
-            m0 = s.inverse() * m0 * s
-        return rep * m0 * rep.inverse()
+            s_inv = s.inverse()
+            m0 = s_inv * self._mu_simple(node, s * u0 * s_inv) * s
+        return rep * m0 * rep_inv
 
     def _mu_simple(self, node: int, u: LaurentMatrix) -> LaurentMatrix:
         e = self.ext

@@ -4,8 +4,11 @@ import pytest
 
 from twinroot import weyl
 from twinroot.chevalley import loop_group
-from twinroot.errors import BadRoot, DegreeWindowExceeded, NotUnimodular, TrivialElement
-from twinroot.laurent import LaurentPoly, diagonal, matrix_from_json
+from twinroot.errors import BadRoot, DegreeWindowExceeded, NotUnimodular, OracleInconsistent, TrivialElement
+from twinroot.laurent import LaurentMatrix, LaurentPoly, diagonal, matrix_from_json
+
+# the groups whose radius-6 Weyl balls the pattern reader is checked on
+PATTERN_GROUPS = ((2, 2), (3, 2), (4, 2), (2, 3), (4, 3))
 
 
 def random_iwahori(G, rng, steps=4):
@@ -228,11 +231,104 @@ def test_determinant_check():
         G.bruhat_weyl(bad)
 
 
+def reference_weyl_from_monomial(G, m):
+    """Weyl element of a monomial matrix read off by Laurent conjugation:
+    m and m^-1 conjugate each simple root group to a root group, whose root
+    is the one nonzero off-diagonal entry."""
+    m_inv = m.inverse()
+
+    def conjugate_root(a, a_inv, root):
+        conj = a * G.root_group_element(root, 1) * a_inv
+        found = None
+        for i in range(G.n):
+            for j in range(G.n):
+                p = conj.entry(i, j)
+                if i == j or p.is_zero():
+                    continue
+                if found is not None or not p.is_monomial():
+                    raise OracleInconsistent("conjugate of a root element is not a root element")
+                found = (i, j, p.val)
+        if found is None:
+            raise OracleInconsistent("conjugate of a root element is trivial")
+        return found
+
+    def action(a, a_inv):
+        cols = [G.root_vector(conjugate_root(a, a_inv, root)) for root in G.simple_roots]
+        return tuple(tuple(col[r] for col in cols) for r in range(G.n))
+
+    w = weyl.element_of_action(G.gcm, action(m, m_inv), action(m_inv, m))
+    if w is None:
+        raise OracleInconsistent("monomial matrix does not act as a Weyl element")
+    return w
+
+
+def reference_cell(G, g, down):
+    """Cell of g through a pattern matrix: jump d of the k-th column (the
+    columns reversed for B_-) puts t^((i - d)/n) at row i = d mod n."""
+    n, f = G.n, G.field
+    order = list(range(n)) if down else list(range(n - 1, -1, -1))
+    profile = G._reduce_profile([[g.entry(i, k) for i in range(n)] for k in order], down)
+    rows = [[LaurentPoly.zero(f)] * n for _ in range(n)]
+    for k, d in zip(order, profile):
+        rows[d % n][k] = LaurentPoly.monomial(f, (d % n - d) // n, 1)
+    return reference_weyl_from_monomial(G, LaurentMatrix(f, n, tuple(map(tuple, rows))))
+
+
+def torus_translations(G):
+    """Torus elements with nonzero t-exponents, scaled by the last unit of
+    the field (a nontrivial coefficient when q > 2)."""
+    f = G.field
+    a = f.units()[-1]
+    mono = lambda e, c: LaurentPoly.monomial(f, e, c)
+    if G.n == 2:
+        return [diagonal(f, (mono(e, a), mono(-e, f.inv(a)))) for e in (1, -2)]
+    return [
+        diagonal(f, (mono(1, a), mono(0, 1), mono(-1, f.inv(a)))),
+        diagonal(f, (mono(-1, 1), mono(2, a), mono(-1, f.inv(a)))),
+    ]
+
+
 def test_weyl_from_monomial_consistency():
-    for q, n in ((2, 2), (2, 3)):
+    for q, n in PATTERN_GROUPS:
         G = loop_group(q, n)
-        for w in weyl.enumerate_ball(G.gcm, 4):
+        for w in weyl.enumerate_ball(G.gcm, 6):
             assert G.weyl_from_monomial(G.canonical_representative(w)) == w
+
+
+@pytest.mark.parametrize("q,n", PATTERN_GROUPS)
+def test_pattern_reader_matches_conjugation_reference(q, n):
+    G = loop_group(q, n)
+    for w in weyl.enumerate_ball(G.gcm, 6):
+        rep = G.canonical_representative(w)
+        for m in [rep] + [rep * h for h in torus_translations(G)]:
+            got, want = G.weyl_from_monomial(m), reference_weyl_from_monomial(G, m)
+            assert (got.word, got.mat, got.inv) == (want.word, want.mat, want.inv)
+
+
+@pytest.mark.parametrize("q,n", PATTERN_GROUPS)
+def test_cells_match_pattern_matrix_reference(q, n):
+    G = loop_group(q, n)
+    rng = random.Random(400 + 10 * q + n)
+    for _ in range(25):
+        g = G.random_element(rng, steps=10)
+        for got, down in ((G.bruhat_weyl(g), True), (G.birkhoff_cell(g), False)):
+            want = reference_cell(G, g, down)
+            assert (got.word, got.mat, got.inv) == (want.word, want.mat, want.inv)
+
+
+def test_pattern_reader_edge_cases():
+    G = loop_group(2, 2)
+    f = G.field
+    one, zero, t = LaurentPoly.one(f), LaurentPoly.zero(f), LaurentPoly.monomial(f, 1, 1)
+    rotation = LaurentMatrix(f, 2, ((zero, one), (t, zero)))  # extended affine, not in W
+    for read in (G.weyl_from_monomial, lambda m: reference_weyl_from_monomial(G, m)):
+        with pytest.raises(OracleInconsistent):
+            read(rotation)
+    translation = diagonal(f, (t, LaurentPoly.monomial(f, -1, 1)))
+    assert G.weyl_from_monomial(translation) == weyl.from_word(G.gcm, (1, 0))
+    for not_monomial in (((one, one), (zero, one)), ((one, one), (one, one))):
+        with pytest.raises(OracleInconsistent):
+            G.weyl_from_monomial(LaurentMatrix(f, 2, not_monomial))
 
 
 def test_affine_root_positivity_convention():

@@ -11,8 +11,8 @@ from twinroot.descent import (
     su3_datum,
     su3_fixed_points,
 )
-from twinroot.errors import BadRoot, UnsupportedLevel
-from twinroot.laurent import diagonal
+from twinroot.errors import BadRoot, NotUnimodular, UnsupportedLevel
+from twinroot.laurent import LaurentMatrix, LaurentPoly, diagonal
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -43,6 +43,28 @@ def test_fixed_point_membership(q):
     for _ in range(200):
         g = rng.choice(pool) * rng.choice(pool)
         assert su3_fixed_points(d, g)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_is_fixed_matches_sigma(q):
+    d = su3_datum(q)
+    ext = d.ext
+    outside = next(a for a in ext.units() if ext.frobenius(a) != a)
+    fixed = (
+        d.simple_root_group(0) + d.simple_root_group(1, positive=False)
+        + d.anisotropic_kernel_elements() + [d.torus_element(a, m) for a in ext.units() for m in (-1, 2)]
+    )
+    one, zero = LaurentPoly.one(ext), LaurentPoly.zero(ext)
+    mono = lambda e, c: LaurentPoly.monomial(ext, e, c)
+    split_torus = diagonal(ext, (mono(1, outside), mono(-1, ext.inv(outside)), one))
+    moved = [d.ambient.root_group_element((0, 1, 0), outside), split_torus]
+    rng = random.Random(13)
+    for g in fixed + moved + [d.ambient.random_element(rng, steps=3) for _ in range(30)]:
+        assert d.is_fixed(g) == (d.sigma(g) == g)
+    assert all(d.is_fixed(g) for g in fixed) and not any(d.is_fixed(g) for g in moved)
+    singular = LaurentMatrix(ext, 3, ((one, one, zero), (one, one, zero), (zero, zero, one)))
+    with pytest.raises(NotUnimodular):
+        d.is_fixed(singular)
 
 
 @pytest.mark.parametrize("q", [2, 3])
