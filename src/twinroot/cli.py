@@ -37,7 +37,6 @@ def _add_common(p):
     p.add_argument("--format", choices=["dot", "json", "tsv"], default="json")
     p.add_argument("--level-window", type=int, default=2, dest="level_window")
     p.add_argument("--search-radius", type=int, default=8, dest="search_radius")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
 
 

@@ -47,6 +47,8 @@ class HermitianDescentDatum:
     ext: GaloisField = dc_field(compare=False)
     ambient: LoopGroup = dc_field(compare=False)
     form: LaurentMatrix = dc_field(compare=False)
+    # Weyl word -> (canonical representative, its inverse), filled by _witness
+    _reps: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def sigma(self, g: LaurentMatrix) -> LaurentMatrix:
         return self.form * g.bar().transpose().inverse() * self.form.inverse()
@@ -160,6 +162,11 @@ class HermitianDescentDatum:
 
     # --- relative root groups -------------------------------------------------
 
+    @cached_property
+    def s_inv(self) -> tuple[LaurentMatrix, LaurentMatrix]:
+        """Inverses of the canonical reflection representatives, by node."""
+        return (self.s0.inverse(), self.s1.inverse())
+
     def simple_root_group(self, node: int, positive: bool = True):
         """All elements of the simple relative root group (finite)."""
         e = self.ext
@@ -169,9 +176,7 @@ class HermitianDescentDatum:
         ups = [self.unipotent_upper(c, b) for c, b in self.metabelian_parameters()]
         if positive:
             return ups
-        s = self.s1
-        sinv = s.inverse()
-        return [s * u * sinv for u in ups]
+        return [self.s1 * u * self.s_inv[1] for u in ups]
 
     def simple_root_group_center(self, node: int, positive: bool = True):
         e = self.ext
@@ -180,35 +185,35 @@ class HermitianDescentDatum:
         cent = [self.unipotent_upper(0, b) for b in e.trace_zero()]
         if positive:
             return cent
-        s = self.s1
-        sinv = s.inverse()
-        return [s * u * sinv for u in cent]
+        return [self.s1 * u * self.s_inv[1] for u in cent]
+
+    def _witness(self, vector):
+        """(node, sign, rep, rep^-1) with vector = w(sign * alpha_node) and rep
+        the canonical representative of w, formed and inverted once per word."""
+        w, node, sgn = root_witness(REL_GCM, tuple(vector))
+        if w.word not in self._reps:
+            rep = self.canonical_representative(w)
+            self._reps[w.word] = (rep, rep.inverse())
+        return (node, sgn, *self._reps[w.word])
 
     def root_group(self, vector) -> list[LaurentMatrix]:
         """Relative root group for any real root of the infinite dihedral
         system, by conjugating a simple one along a Weyl witness."""
-        w, node, sgn = root_witness(REL_GCM, tuple(vector))
-        rep = self.canonical_representative(w)
-        rep_inv = rep.inverse()
+        node, sgn, rep, rep_inv = self._witness(vector)
         return [rep * u * rep_inv for u in self.simple_root_group(node, sgn > 0)]
 
     def root_group_center(self, vector) -> list[LaurentMatrix]:
-        w, node, sgn = root_witness(REL_GCM, tuple(vector))
-        rep = self.canonical_representative(w)
-        rep_inv = rep.inverse()
+        node, sgn, rep, rep_inv = self._witness(vector)
         return [rep * u * rep_inv for u in self.simple_root_group_center(node, sgn > 0)]
 
     def mu_for(self, vector, u: LaurentMatrix) -> LaurentMatrix:
         """mu-map of a nontrivial element of the root group at `vector`."""
-        w, node, sgn = root_witness(REL_GCM, tuple(vector))
-        rep = self.canonical_representative(w)
-        rep_inv = rep.inverse()
+        node, sgn, rep, rep_inv = self._witness(vector)
         u0 = rep_inv * u * rep
         if sgn > 0:
             m0 = self._mu_simple(node, u0)
         else:
-            s = self.canonical_s(node)
-            s_inv = s.inverse()
+            s, s_inv = self.canonical_s(node), self.s_inv[node]
             m0 = s_inv * self._mu_simple(node, s * u0 * s_inv) * s
         return rep * m0 * rep_inv
 

@@ -751,20 +751,53 @@ BUILDING_BALL_CAP = 20000  # chambers
 def building_ball(oracle: GroupOracle, sign: int, radius: int) -> ChamberGraph:
     """BFS of the chamber graph of G/B_sign out to the given gallery radius.
 
-    The moves u s_hat across each panel type are formed once.  A target
-    chamber is looked up among the chambers with its coset key (Bruhat cell
-    for sign +1, Birkhoff cell for -1), by a Borel test against their
-    representatives' inverses, each computed once when its chamber is found.
+    The moves u s_hat across each panel type are formed and certified once:
+    no move lies in B_sign and no two moves differ by an element of B_sign
+    (OracleInconsistent otherwise), so each panel has len(moves) + 1
+    distinct chambers.  Chamber c skips the panel type of its last letter:
+    that panel is its parent's, walked when the parent was expanded.
+    Across any other panel:
+
+    - When the GCM is of tree type (rank 2, a01 a10 >= 4), W is infinite
+      dihedral and every chamber has one gallery from the base chamber, so
+      c u s_hat is a new chamber named by (word + (i,), params + (p,)) with
+      no lookup.  This rests on certificates, never on a guess: the panel
+      certificate, and on sign +1 a cell witness per chamber: its Bruhat
+      key must equal the key of the s_hat product along its gallery word,
+      and distinct words must have distinct keys.  Sign -1 has no
+      per-chamber cell witness (the Birkhoff key is the codistance to B_+,
+      which varies along one gallery word); it rests on the panel
+      certificates and on the BN-pair property that check_trd verifies.
+    - Otherwise a target is looked up among the chambers with its coset key
+      (Bruhat cell for sign +1, Birkhoff cell for -1), by a Borel test
+      against their representatives' inverses, each computed once when its
+      chamber is found.
     """
     key = oracle.bruhat_key if sign > 0 else oracle.birkhoff_key
+    cartan = oracle.gcm.a
+    tree = oracle.gcm.n == 2 and cartan[0][1] * cartan[1][0] >= 4
     moves = {}
     for node in range(oracle.gcm.n):
         vector = tuple(sign * x for x in oracle.simple_vector(node))
         s_hat = oracle.canonical_s(node)
         moves[node] = [oracle.mul(u, s_hat) for u in oracle.root_group_elements(vector)]
+        _certify_panel(oracle, sign, node, moves[node])
     ident = oracle.identity
     chambers = [TwinChamber(sign, (), (), ident)]
-    by_key = {key(ident): [(0, ident)]}  # coset key -> [(index, rep^-1)]
+    base_key = key(ident)
+    by_key = {base_key: [(0, ident)]}  # coset key -> [(index, rep^-1)]
+    cells = {(): (ident, base_key)}  # gallery word -> (s_hat product, its key)
+    words_by_cell = {base_key: ()}
+
+    def cell_of(word):
+        if word not in cells:
+            rep = oracle.mul(cells[word[:-1]][0], oracle.canonical_s(word[-1]))
+            k = key(rep)
+            if words_by_cell.setdefault(k, word) != word:
+                raise OracleInconsistent(f"gallery words {words_by_cell[k]} and {word} share the coset key {k}")
+            cells[word] = (rep, k)
+        return cells[word][1]
+
     edge_set = set()
     frontier = [0]
     for _layer in range(radius):
@@ -772,19 +805,29 @@ def building_ball(oracle: GroupOracle, sign: int, radius: int) -> ChamberGraph:
         for idx in frontier:
             c = chambers[idx]
             for node, node_moves in moves.items():
+                if c.word[-1:] == (node,):
+                    continue
                 panel = [idx]
+                word = c.word + (node,)
                 for pidx, mv in enumerate(node_moves):
                     target = oracle.mul(c.rep, mv)
-                    tkey = key(target)
-                    same_key = by_key.setdefault(tkey, [])
-                    found = next(
-                        (j for j, rep_inv in same_key if oracle.in_borel(sign, oracle.mul(rep_inv, target))),
-                        None,
-                    )
+                    found = None
+                    if tree:
+                        if sign > 0 and key(target) != cell_of(word):
+                            raise OracleInconsistent(
+                                f"chamber {word}|{c.params + (pidx,)} lies outside the cell of its gallery word"
+                            )
+                    else:
+                        same_key = by_key.setdefault(key(target), [])
+                        found = next(
+                            (j for j, rep_inv in same_key if oracle.in_borel(sign, oracle.mul(rep_inv, target))),
+                            None,
+                        )
                     if found is None:
                         found = len(chambers)
-                        chambers.append(TwinChamber(sign, c.word + (node,), c.params + (pidx,), target))
-                        same_key.append((found, oracle.inv(target)))
+                        chambers.append(TwinChamber(sign, word, c.params + (pidx,), target))
+                        if not tree:
+                            same_key.append((found, oracle.inv(target)))
                         new_frontier.append(found)
                         if len(chambers) > BUILDING_BALL_CAP:
                             raise OracleInconsistent(f"ball exceeded cap {BUILDING_BALL_CAP}")
@@ -794,6 +837,18 @@ def building_ball(oracle: GroupOracle, sign: int, radius: int) -> ChamberGraph:
         frontier = new_frontier
     panel_sizes = {node: len(node_moves) + 1 for node, node_moves in moves.items()}
     return ChamberGraph(sign, chambers, sorted(edge_set), panel_sizes)
+
+
+def _certify_panel(oracle: GroupOracle, sign: int, node: int, moves):
+    """The moves u s_hat across the node-panel of B_sign reach len(moves)
+    pairwise distinct chambers other than B_sign; OracleInconsistent
+    otherwise."""
+    if any(oracle.in_borel(sign, mv) for mv in moves):
+        raise OracleInconsistent(f"a move across the {node}-panel lies in B_{sign:+d}")
+    for j, mv in enumerate(moves):
+        mv_inv = oracle.inv(mv)
+        if any(oracle.in_borel(sign, oracle.mul(mv_inv, other)) for other in moves[j + 1 :]):
+            raise OracleInconsistent(f"two moves across the {node}-panel differ by an element of B_{sign:+d}")
 
 
 def codistance(oracle: GroupOracle, cplus: TwinChamber, cminus: TwinChamber) -> WeylElement:

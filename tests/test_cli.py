@@ -131,7 +131,7 @@ def test_help_texts_name_flags(capsys):
         text = capsys.readouterr().out
         for flag in ("--gcm", "--word", "--alpha", "--beta", "--group", "--q",
                      "--radius", "--format", "--level-window", "--search-radius",
-                     "--jobs", "--seed"):
+                     "--seed"):
             assert flag in text
 
 

@@ -80,20 +80,29 @@ def test_check_trd_su3():
     assert rep3.passed, rep3.to_json()
 
 
-def test_fault_injection_wrong_conjugate():
-    # replace one root group by a wrong conjugate: TRD3 must fail with a witness
+def _criterion_08_mutants():
+    """Criterion 08's three faults of the SL_2(F_3) oracle."""
     orc = sl2_oracle(3)
     G = loop_group(3, 2)
     tilt = G.root_group_element((1, 0, 1), 1)  # does not normalize U_{alpha_1}
     tilt_inv = tilt.inverse()
     base = orc.root_group_elements
 
-    def mutated(vector):
+    def wrong_conjugate(vector):
         if vector == (0, 1):  # the classical simple root alpha_1
             return [tilt * u * tilt_inv for u in base(vector)]
         return base(vector)
 
-    bad = replace(orc, root_group_elements=mutated)
+    return {
+        "wrong-conjugate": replace(orc, root_group_elements=wrong_conjugate),
+        "empty-torus": replace(orc, is_torus=lambda g: False),
+        "swapped-signs": replace(orc, root_group_elements=lambda v: base(tuple(-x for x in v))),
+    }
+
+
+def test_fault_injection_wrong_conjugate():
+    # replace one root group by a wrong conjugate: TRD3 must fail with a witness
+    bad = _criterion_08_mutants()["wrong-conjugate"]
     rep = trd.check_trd(bad, sample_budget=80, level_window=1, seed=0)
     assert not rep.passed
     trd3 = next(r for r in rep.results if r.axiom == "TRD3")
@@ -102,8 +111,7 @@ def test_fault_injection_wrong_conjugate():
 
 def test_fault_injection_lying_torus():
     # a torus test that rejects everything breaks the m(u)H = m(v)H clause
-    orc = sl2_oracle(3)
-    bad = replace(orc, is_torus=lambda g: False)
+    bad = _criterion_08_mutants()["empty-torus"]
     rep = trd.check_trd(bad, sample_budget=40, level_window=1, seed=0)
     trd3 = next(r for r in rep.results if r.axiom == "TRD3")
     assert not trd3.passed and trd3.witness
@@ -111,13 +119,7 @@ def test_fault_injection_lying_torus():
 
 def test_fault_injection_sign_swapped_root_groups():
     # swapping U_alpha with U_-alpha breaks TRD4
-    orc = sl2_oracle(3)
-    base = orc.root_group_elements
-
-    def mutated(vector):
-        return base(tuple(-x for x in vector))
-
-    bad = replace(orc, root_group_elements=mutated)
+    bad = _criterion_08_mutants()["swapped-signs"]
     rep = trd.check_trd(bad, sample_budget=40, level_window=1, seed=0)
     assert not rep.passed
     trd4 = next(r for r in rep.results if r.axiom == "TRD4")
@@ -485,8 +487,10 @@ def _integrated_f_oracle():
 
 @pytest.mark.parametrize(
     "name, radius",
-    # SU_3(F_2) stops at radius 2: the reference takes over 4 s per sign at 3
-    [("SL2(F2)", 3), ("SL2(F3)", 3), ("SL3(F2)", 3), ("SU3(F2)", 2), ("F", 3)],
+    # SU_3(F_2) stops at radius 2: the reference takes over 4 s per sign at 3;
+    # SL_2(F_4) at 3 and SU_3(F_3) at 1 for the same reason (about 10 s at
+    # radius 4 and 2)
+    [("SL2(F2)", 3), ("SL2(F3)", 3), ("SL3(F2)", 3), ("SU3(F2)", 2), ("F", 3), ("SL2(F4)", 3), ("SU3(F3)", 1)],
 )
 def test_building_ball_matches_linear_scan_reference(name, radius):
     orc = {
@@ -495,6 +499,8 @@ def test_building_ball_matches_linear_scan_reference(name, radius):
         "SL3(F2)": lambda: sl3_oracle(2),
         "SU3(F2)": lambda: su3_oracle(2),
         "F": _integrated_f_oracle,
+        "SL2(F4)": lambda: sl2_oracle(4),
+        "SU3(F3)": lambda: su3_oracle(3),
     }[name]()
     for sign in (+1, -1):
         refs = linear_scan_balls(orc, sign, radius)
@@ -504,3 +510,46 @@ def test_building_ball_matches_linear_scan_reference(name, radius):
             assert ball.to_dot() == ref.to_dot(), (sign, r)
             # the panel sizes are now known before the first layer
             assert ball.panel_sizes == refs[-1].panel_sizes, (sign, r)
+
+
+@pytest.mark.parametrize("name", ["wrong-conjugate", "empty-torus", "swapped-signs"])
+def test_building_ball_on_criterion_08_mutants(name):
+    mutant = _criterion_08_mutants()[name]
+    if name == "swapped-signs":
+        # the moves u s_hat with u in U_-alpha all land in one coset
+        for sign in (+1, -1):
+            with pytest.raises(OracleInconsistent, match="differ by an element of B"):
+                trd.building_ball(mutant, sign, 3)
+        return
+    # the ball does not see these faults; check_trd does
+    for sign in (+1, -1):
+        ref = linear_scan_balls(mutant, sign, 3)[-1]
+        assert trd.building_ball(mutant, sign, 3).to_json() == ref.to_json(), sign
+    rep = trd.check_trd(mutant, sample_budget=60, level_window=1, seed=0)
+    assert not rep.passed
+    assert any(r.witness for r in rep.results if not r.passed)
+
+
+def test_ball_certificates_reject_faulty_oracles():
+    # the panel certificate holds in every rank: swapped signs in SL_3(F_2)
+    sl3 = sl3_oracle(2)
+    swapped = replace(sl3, root_group_elements=lambda v: sl3.root_group_elements(tuple(-x for x in v)))
+    with pytest.raises(OracleInconsistent, match="differ by an element of B"):
+        trd.building_ball(swapped, +1, 2)
+    orc = sl2_oracle(3)
+    base = orc.root_group_elements
+    s1_inv = orc.inv(orc.canonical_s(1))
+    # one move across the 1-panel of B_- is the identity (sign -1 has no cell
+    # witness, so only the panel certificate sees it)
+    move_in_borel = replace(orc, root_group_elements=lambda v: [s1_inv] + base(v)[1:] if v == (0, -1) else base(v))
+    with pytest.raises(OracleInconsistent, match="lies in B_-1"):
+        trd.building_ball(move_in_borel, -1, 3)
+    # U_{alpha_1} wired to U_{-alpha_0}: every panel still has 1 + q distinct
+    # chambers, but u s_1 leaves the cell B s_1 B
+    wrong_root = replace(orc, root_group_elements=lambda v: base((-1, 0)) if v == (0, 1) else base(v))
+    with pytest.raises(OracleInconsistent, match="outside the cell of its gallery word"):
+        trd.building_ball(wrong_root, +1, 3)
+    # a Bruhat key that keeps only the length cannot tell s_0 from s_1
+    length_key = replace(orc, bruhat_key=lambda g: len(orc.bruhat_key(g)))
+    with pytest.raises(OracleInconsistent, match="share the coset key"):
+        trd.building_ball(length_key, +1, 3)
