@@ -219,6 +219,10 @@ class LoopGroup:
     def _canonical_s(self, node: int) -> LaurentMatrix:
         return self.mu_map(self.simple_roots[node], 1)
 
+    @lru_cache(maxsize=None)
+    def _canonical_s_inv(self, node: int) -> LaurentMatrix:
+        return self._canonical_s(node).inverse()
+
     def canonical_representative(self, w: WeylElement) -> LaurentMatrix:
         out = self.identity()
         for i in w.word:
@@ -233,11 +237,13 @@ class LoopGroup:
     # flag with g times the standard (resp. reversed) flag is a complete
     # invariant of the Iwahori double coset (resp. of B_+ g B_-).
 
-    def _check_window(self, g: LaurentMatrix):
+    def _check_input(self, g: LaurentMatrix):
         if g.max_degree_span() > self.window:
             raise DegreeWindowExceeded(
                 f"matrix spans t-degrees beyond the window +-{self.window}"
             )
+        if not g.det().is_one():
+            raise NotUnimodular("group elements must have determinant 1")
 
     def _column(self, g: LaurentMatrix, j: int):
         return [g.entry(i, j) for i in range(self.n)]
@@ -325,9 +331,7 @@ class LoopGroup:
         """w with g in B_+ w B_+ (down=True) or B_+ w B_- (down=False).  The
         jump profile of the columns (reversed for B_-) is the affine
         permutation: jump d puts its column at row i = d mod n, exponent
-        (i - d) / n."""
-        if not g.det().is_one():
-            raise NotUnimodular("group elements must have determinant 1")
+        (i - d) / n.  The caller checks that g has determinant 1."""
         n = self.n
         order = range(n) if down else range(n - 1, -1, -1)
         profile = self._reduce_profile([self._column(g, k) for k in order], down)
@@ -336,12 +340,12 @@ class LoopGroup:
 
     def bruhat_weyl(self, g: LaurentMatrix) -> WeylElement:
         """Iwahori-Bruhat cell of g (w with g in B_+ w B_+)."""
-        self._check_window(g)
+        self._check_input(g)
         return self._cell(g, True)
 
     def birkhoff_cell(self, g: LaurentMatrix) -> WeylElement:
         """w with g in B_+ w B_-."""
-        self._check_window(g)
+        self._check_input(g)
         return self._cell(g, False)
 
     def bruhat_cell(self, g: LaurentMatrix, rng=None):
@@ -350,16 +354,17 @@ class LoopGroup:
         w comes from the flag invariant (hence independent of any choices);
         b1 and b2 are recovered by peeling the canonical word letter by
         letter, probing the q parameters of each panel.  rng, when given,
-        only shuffles the probe order.
+        only shuffles the probe order.  Probes are products of determinant-1
+        factors, so _cell skips their determinant.
         """
         w = self.bruhat_weyl(g)
         f = self.field
         rest = g
         b1 = self.identity()
-        prefix = self.identity()
+        prefix = prefix_inv = self.identity()
         for pos, i in enumerate(w.word):
             s_i = self._canonical_s(i)
-            s_inv = s_i.inverse()
+            s_inv = self._canonical_s_inv(i)
             target = w.word[pos + 1 :]
             params = list(f.elements())
             if rng is not None:
@@ -374,9 +379,10 @@ class LoopGroup:
             if hit is None:
                 raise OracleInconsistent("descent peeling failed to shorten the cell")
             r, rest = hit
-            u_conj = prefix * self.root_group_element(self.simple_roots[i], r) * prefix.inverse()
+            u_conj = prefix * self.root_group_element(self.simple_roots[i], r) * prefix_inv
             b1 = b1 * u_conj
             prefix = prefix * s_i
+            prefix_inv = s_inv * prefix_inv
         if not self.in_positive_borel(rest):
             raise OracleInconsistent("peeled remainder is not in the Iwahori subgroup")
         if not self.in_positive_borel(b1):

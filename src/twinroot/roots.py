@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import weyl
 from .errors import (
     BadRoot,
     ExplosionGuard,
-    MixedSign,
     NotNilpotentSet,
     NotPrenilpotent,
     NotSpherical,
@@ -72,8 +71,12 @@ def enumerate_real_roots(
     return [RootVector(v) for v in _root_vectors(A, L, cap)]
 
 
+def _reflect_root(A: GeneralizedCartanMatrix, v: IntVector, i: int) -> IntVector:
+    """s_i(v), O(n): coordinate i becomes v_i - <v, alpha_i^vee> = v_i - sum_j a[i][j] v_j."""
+    return v[:i] + (v[i] - sum(a * c for a, c in zip(A.a[i], v)),) + v[i + 1 :]
+
+
 def _root_vectors(A: GeneralizedCartanMatrix, L: int, cap: int = DEFAULT_ROOT_CAP):
-    s = weyl._simple_actions(A)
     level = sorted(
         {tuple(sgn * x for x in row) for row in weyl.identity_matrix(A.n) for sgn in (1, -1)}
     )
@@ -82,8 +85,8 @@ def _root_vectors(A: GeneralizedCartanMatrix, L: int, cap: int = DEFAULT_ROOT_CA
     for _ in range(L):
         nxt = set()
         for v in level:
-            for m in s:
-                w = mat_vec(m, v)
+            for i in range(A.n):
+                w = _reflect_root(A, v, i)
                 if w not in seen:
                     nxt.add(w)
         if not nxt:
@@ -118,10 +121,10 @@ def root_witness(A: GeneralizedCartanMatrix, v: IntVector) -> tuple[WeylElement,
         if len(support) == 1 and x[support[0]] == sign:
             return weyl.from_word(A, letters), support[0], sign
         images = []
-        for i, row in enumerate(A.a):
-            pairing = sum(a * c for a, c in zip(row, x))
-            if sign * pairing > 0:
-                images.append((x[:i] + (x[i] - pairing,) + x[i + 1 :], i))
+        for i in range(A.n):
+            y = _reflect_root(A, x, i)
+            if sign * (x[i] - y[i]) > 0:  # x[i] - y[i] = <x, alpha_i^vee>
+                images.append((y, i))
         if not images:
             raise BadRoot(f"{v} is not a real root")
         x, i = min(images)
@@ -134,8 +137,7 @@ def root_witness(A: GeneralizedCartanMatrix, v: IntVector) -> tuple[WeylElement,
 def reflection_matrix(A: GeneralizedCartanMatrix, alpha: RootVector):
     """Action matrix of the reflection through alpha (= w s_i w^{-1})."""
     w, i, _sign = root_witness(A, alpha.coords)
-    s = weyl.simple_reflection_action(A, i)
-    return mat_mul(mat_mul(w.mat, s), w.inv)
+    return mat_mul(weyl._times_s(A.a, w.mat, i), w.inv)
 
 
 # --- prenilpotency -----------------------------------------------------------
@@ -233,39 +235,37 @@ def _cached_ball(A: GeneralizedCartanMatrix, radius: int):
     return tuple(weyl.enumerate_ball(A, radius))
 
 
+@lru_cache(maxsize=128)
+def _cached_heights(A: GeneralizedCartanMatrix, radius: int):
+    """The column sums h_w of w.mat, w in _cached_ball: w(d) has height h_w . d."""
+    return tuple(tuple(map(sum, zip(*w.mat))) for w in _cached_ball(A, radius))
+
+
 def _farkas_empty(deltas) -> bool:
     """True if a nonnegative nontrivial rational relation sum l_i d_i = 0
-    exists: then no chamber interior satisfies f(d_i) > 0 for all i."""
-    vecs = [tuple(Fraction(x) for x in d) for d in deltas]
-    k = len(vecs)
-    n = len(vecs[0])
-    # kernel of the n x k matrix whose columns are the deltas
-    rows = [[vecs[j][i] for j in range(k)] for i in range(n)]
-    # Gauss elimination tracking free columns
+    exists: then no chamber interior satisfies f(d_i) > 0 for all i.
+    Integer Gauss-Jordan on the matrix with the deltas as columns: scaling a
+    row by a nonzero integer keeps its kernel, and free column fc has the
+    kernel vector with 1 at fc and sign -row[fc] * row[pc] at each pivot pc."""
+    k = len(deltas)
+    rows = [list(row) for row in zip(*deltas)]
+    n = len(rows)
     pivots = []
     r = 0
     for c in range(k):
-        pivot = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        p = rows[r][c]
         for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [p * x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    free = [c for c in range(k) if c not in pivots]
-    for fc in free:
-        sol = [Fraction(0)] * k
-        sol[fc] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            sol[pc] = -rows[rr][fc]
-        if all(x >= 0 for x in sol) or all(x <= 0 for x in sol):
-            return True
-    return False
+    free = (fc for fc in range(k) if fc not in pivots)
+    return any(all(row[fc] * row[pc] <= 0 for row, pc in zip(rows, pivots)) for fc in free)
 
 
 def _region_empty(A, deltas, radius: int, exhaustive: bool):
@@ -273,6 +273,10 @@ def _region_empty(A, deltas, radius: int, exhaustive: bool):
 
     Returns True/False when certified/witnessed, None when undecided.  The
     two exact certificates run before the ball scan, which only they spare.
+    The deltas are real roots by construction (closed_interval's alpha and
+    beta pass root_witness, and each gamma is a w-image of a simple root),
+    so the sign of u(d) is the sign of its height, which is never 0: the
+    scan tests one dot product per delta.
     """
     # certificate 1: some pair already empty
     for i in range(len(deltas)):
@@ -282,8 +286,8 @@ def _region_empty(A, deltas, radius: int, exhaustive: bool):
     # certificate 2: conic (Farkas) obstruction
     if _farkas_empty(deltas):
         return True
-    for w in _cached_ball(A, radius):
-        if all(root_sign(mat_vec(w.mat, d)) > 0 for d in deltas):
+    for h in _cached_heights(A, radius):
+        if all(sum(map(mul, h, d)) > 0 for d in deltas):
             return False
     return True if exhaustive else None
 
@@ -330,7 +334,7 @@ def closed_interval(
         raise NotPrenilpotent(f"{alpha}, {beta} is not a prenilpotent pair")
     if alpha == beta:
         return RootInterval(alpha, beta, (alpha,))
-    exhaustive = all(w.length < search_radius for w in _cached_ball(A, search_radius))
+    exhaustive = _cached_ball(A, search_radius)[-1].length < search_radius
     u, v = _witness_chambers(A, alpha, beta)
     # inversion_order(u v^{-1}) lists the walls crossed on a minimal gallery
     # from C to u v^{-1} C, in order; u^{-1} moves them to the gallery u -> v
@@ -403,14 +407,12 @@ def longest_element(A: GeneralizedCartanMatrix) -> WeylElement:
 
 
 def inversion_order(A: GeneralizedCartanMatrix, w: WeylElement):
-    """beta_k = s_{i1}...s_{i(k-1)}(alpha_{ik}) along the canonical word."""
-    s = weyl._simple_actions(A)
+    """beta_k = s_{i1}...s_{i(k-1)}(alpha_{ik}), column ik of the prefix's matrix."""
     prefix = weyl.identity_matrix(A.n)
     out = []
     for i in w.word:
-        alpha_i = tuple(1 if t == i else 0 for t in range(A.n))
-        out.append(mat_vec(prefix, alpha_i))
-        prefix = mat_mul(prefix, s[i])
+        out.append(tuple(row[i] for row in prefix))
+        prefix = weyl._times_s(A.a, prefix, i)
     return out
 
 
@@ -439,9 +441,9 @@ def nibbling_sequence(A: GeneralizedCartanMatrix, J, psi) -> NibblingSequence:
     for r in sub_psi:
         if r not in sub_roots:
             raise NotNilpotentSet(f"{r} is not a real root of W_J")
-    mover = next(
-        (w for w in ball if all(root_sign(w.apply(r)) > 0 for r in sub_psi)), None
-    )
+    # sub_psi holds real roots, so a sign is the sign of a height (see _region_empty)
+    positive = (all(sum(map(mul, h, r)) > 0 for r in sub_psi) for h in _cached_heights(sub, top + 1))
+    mover = next((w for w, ok in zip(ball, positive) if ok), None)
     if mover is None:
         raise NotNilpotentSet("no element of W_J makes the whole set positive")
     order = inversion_order(sub, w0)

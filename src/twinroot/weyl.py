@@ -76,15 +76,7 @@ def simple_reflection_action(A: GeneralizedCartanMatrix, i: int) -> IntMatrix:
     """Matrix of s_i on Q: column j is v_j - a[i][j] v_i."""
     if not 0 <= i < A.n:
         raise IndexOutOfRange(f"generator index {i} out of range for rank {A.n}")
-    rows = [list(row) for row in identity_matrix(A.n)]
-    for j in range(A.n):
-        rows[i][j] = (1 if i == j else 0) - A.a[i][j]
-    return tuple(tuple(r) for r in rows)
-
-
-@lru_cache(maxsize=None)
-def _simple_actions(A: GeneralizedCartanMatrix) -> tuple[IntMatrix, ...]:
-    return tuple(simple_reflection_action(A, i) for i in range(A.n))
+    return _s_times(A.a, identity_matrix(A.n), i)
 
 
 def root_sign(v: IntVector) -> int:
@@ -104,7 +96,20 @@ DESCENT_GUARD = 10**6
 def _reflect(a: IntMatrix, x, i: int):
     """Dual simple reflection s_i on V*: x_j <- x_j - a[i][j] x_i, O(n)."""
     xi = x[i]
+    if not xi:
+        return x
     return tuple(xj - aij * xi for xj, aij in zip(x, a[i]))
+
+
+def _times_s(a: IntMatrix, mat: IntMatrix, i: int) -> IntMatrix:
+    """mat * s_i, O(n^2): each row x becomes x_j - a[i][j] x_i."""
+    return tuple(_reflect(a, row, i) for row in mat)
+
+
+def _s_times(a: IntMatrix, mat: IntMatrix, i: int) -> IntMatrix:
+    """s_i * mat, O(n^2): only row i changes, to mat[i] - sum_k a[i][k] mat[k]."""
+    row = tuple(x - sum(c * y for c, y in zip(a[i], col)) for x, col in zip(mat[i], zip(*mat)))
+    return mat[:i] + (row,) + mat[i + 1 :]
 
 
 def descend(A: GeneralizedCartanMatrix, x, limit: int):
@@ -197,14 +202,12 @@ def simple_element(A: GeneralizedCartanMatrix, i: int) -> WeylElement:
 
 
 def _word_matrices(A: GeneralizedCartanMatrix, word) -> tuple[IntMatrix, IntMatrix]:
-    s = _simple_actions(A)
-    mat = identity_matrix(A.n)
-    inv = mat
+    mat = inv = identity_matrix(A.n)
     for i in word:
         if not 0 <= i < A.n:
             raise IndexOutOfRange(f"generator index {i} out of range for rank {A.n}")
-        mat = mat_mul(mat, s[i])
-        inv = mat_mul(s[i], inv)
+        mat = _times_s(A.a, mat, i)
+        inv = _s_times(A.a, inv, i)
     return mat, inv
 
 
@@ -253,7 +256,6 @@ def enumerate_ball(A: GeneralizedCartanMatrix, L: int, cap: int = DEFAULT_BALL_C
     """All elements of length <= L, each once, in (length, ShortLex) order."""
     if L < 0:
         raise IndexOutOfRange("ball radius must be nonnegative")
-    s = _simple_actions(A)
     n = A.n
     seen = {identity_matrix(n)}
     result = [identity_element(A)]
@@ -262,13 +264,12 @@ def enumerate_ball(A: GeneralizedCartanMatrix, L: int, cap: int = DEFAULT_BALL_C
         nxt = {}
         for w in layer:
             for i in range(n):
-                col = tuple(w.mat[k][i] for k in range(n))
-                if root_sign(col) < 0:
-                    continue  # w alpha_i < 0: length would drop
-                mat = mat_mul(w.mat, s[i])
-                if mat in seen:
+                if sum(row[i] for row in w.mat) < 0:
+                    continue  # the root w alpha_i has negative height: length would drop
+                mat = _times_s(A.a, w.mat, i)
+                if mat in seen or mat in nxt:
                     continue
-                nxt[mat] = mat_mul(s[i], w.inv)
+                nxt[mat] = _s_times(A.a, w.inv, i)
         layer = sorted(
             (_from_matrices(A, mat, inv) for mat, inv in nxt.items()),
             key=lambda w: w.word,

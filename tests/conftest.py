@@ -43,3 +43,36 @@ LARGER_GCMS = {
     "H3": gcm.validate_gcm([[2, -1, 0], [-1, 2, -2], [0, -2, 2]]),
     "K4": gcm.validate_gcm([[2 if i == j else -1 for j in range(4)] for i in range(4)]),
 }
+
+
+def fraction_farkas_empty(deltas):
+    """Reference for roots._farkas_empty: the same Gauss-Jordan elimination
+    over Fraction, each pivot row divided by its pivot, and the kernel
+    vector of each free column read off the reduced rows."""
+    from fractions import Fraction
+
+    k, n = len(deltas), len(deltas[0])
+    rows = [[Fraction(deltas[j][i]) for j in range(k)] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(k):
+        pivot = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    for fc in (c for c in range(k) if c not in pivots):
+        sol = [Fraction(0)] * k
+        sol[fc] = Fraction(1)
+        for rr, pc in enumerate(pivots):
+            sol[pc] = -rows[rr][fc]
+        if all(x >= 0 for x in sol) or all(x <= 0 for x in sol):
+            return True
+    return False

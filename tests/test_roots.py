@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -15,7 +16,7 @@ from twinroot.errors import (
 )
 from twinroot.roots import RootVector
 
-from conftest import FINITE_GCMS, LARGER_GCMS, TEST_GCMS
+from conftest import FINITE_GCMS, LARGER_GCMS, TEST_GCMS, fraction_farkas_empty
 
 
 def witness_oracle(A, alpha, beta, radius=8):
@@ -300,6 +301,45 @@ def test_affine_nested_interval():
     b = -RootVector((1, 2))
     iv = roots.closed_interval(A, a, b)
     assert {r.coords for r in iv.members} == {(1, 0), (0, -1), (-1, -2)}
+
+
+def scan_region_empty(A, deltas, radius, exhaustive):
+    """Reference region test: the same two certificates (Farkas over
+    Fraction), then a ball scan that applies each w.mat to each delta and
+    reads the sign of the image."""
+    for i in range(len(deltas)):
+        for j in range(i + 1, len(deltas)):
+            if 1 in roots._empty_diagonal(A, deltas[i], deltas[j]):
+                return True
+    if fraction_farkas_empty(deltas):
+        return True
+    for w in roots._cached_ball(A, radius):
+        if all(weyl.root_sign(weyl.mat_vec(w.mat, d)) > 0 for d in deltas):
+            return False
+    return True if exhaustive else None
+
+
+@pytest.mark.parametrize(
+    "name, A, level, total",
+    [
+        ("affine_A2", gcm.AFFINE_A2, 5, 65),
+        ("affine_A1", gcm.AFFINE_A1, 8, 169),
+        ("G2", gcm.G2, 6, 96),
+        ("H3", LARGER_GCMS["H3"], 5, 156),
+    ],
+)
+def test_interval_matches_matrix_scan_reference(monkeypatch, name, A, level, total):
+    rng = random.Random(name)
+    rr = roots._root_vectors(A, level)
+    pairs = []
+    while len(pairs) < 24:
+        a, b = (RootVector(v) for v in rng.sample(rr, 2))
+        if roots.is_prenilpotent_pair(A, a, b):
+            pairs.append((a, b))
+    got = [roots.closed_interval(A, a, b).members for a, b in pairs]
+    monkeypatch.setattr(roots, "_region_empty", scan_region_empty)
+    assert got == [roots.closed_interval(A, a, b).members for a, b in pairs]
+    assert sum(map(len, got)) == total
 
 
 def test_nibbling_a2():
