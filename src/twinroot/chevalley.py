@@ -11,7 +11,6 @@ lives in the descent module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import weyl
@@ -29,25 +28,6 @@ from .laurent import LaurentMatrix, LaurentPoly, diagonal, elementary
 from .weyl import WeylElement
 
 AffineRoot = tuple[int, int, int]  # (i, j, level): I + r t^level E_ij
-
-
-@dataclass(frozen=True)
-class AffineRootGroupElement:
-    """Parametrized unipotent I + r t^k E_ij with its positivity convention."""
-
-    classical_root: tuple[int, int]
-    level: int
-    param: int  # encoded field value
-
-    @property
-    def is_positive(self) -> bool:
-        i, j = self.classical_root
-        return self.level > 0 or (self.level == 0 and i < j)
-
-
-def affine_root_is_positive(root: AffineRoot) -> bool:
-    i, j, k = root
-    return k > 0 or (k == 0 and i < j)
 
 
 _AFFINE_GCM = {

@@ -15,7 +15,7 @@ import sys
 from . import cone, gcm as gcmmod, roots as rootsmod, trd, weyl
 from .chevalley import loop_group
 from .descent import anisotropic_kernel, maximal_split_subgroup, relative_root_group, su3_datum
-from .errors import TwinrootError, UndecidedError, UnknownFormat
+from .errors import TwinrootError, UndecidedError
 from .laurent import matrix_from_json
 from .roots import RootVector
 from .trd import export_graph
@@ -26,6 +26,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def nonnegative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--gcm", help="path to a GCM JSON file {n, a}")
     p.add_argument("--word", help="comma-separated generator indices or permutation")
@@ -33,10 +40,10 @@ def _add_common(p):
     p.add_argument("--beta", help="simple root index or CSV coordinates")
     p.add_argument("--group", choices=["sl2", "sl3", "su3"])
     p.add_argument("--q", type=int, choices=[2, 3], default=2)
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=nonnegative, default=2)
     p.add_argument("--format", choices=["dot", "json", "tsv"], default="json")
-    p.add_argument("--level-window", type=int, default=2, dest="level_window")
-    p.add_argument("--search-radius", type=int, default=8, dest="search_radius")
+    p.add_argument("--level-window", type=nonnegative, default=2, dest="level_window")
+    p.add_argument("--search-radius", type=nonnegative, default=8, dest="search_radius")
     p.add_argument("--seed", type=int, default=None)
 
 
@@ -293,9 +300,6 @@ def dispatch(argv) -> int:
     except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 2
-    except UnknownFormat as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except TwinrootError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import weyl
 from .errors import (
+    IndexOutOfRange,
     NotClosedUnderComposition,
     NotInFundamentalChamber,
     NotSpherical,
@@ -135,6 +136,8 @@ def fixed_subspace(A: GeneralizedCartanMatrix, autos, S0=()) -> list[CoFunctiona
     """
     autos = _closure_check(A, autos)
     S0 = frozenset(S0)
+    if any(not 0 <= i < A.n for i in S0):
+        raise IndexOutOfRange(f"S0 = {sorted(S0)} has an index outside 0..{A.n - 1}")
     for a in autos:
         if {a.apply(i) for i in S0} != S0:
             raise RankMismatch(f"S0 = {sorted(S0)} is not stable under {a.perm}")

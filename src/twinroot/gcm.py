@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DiagonalNotTwo,
+    GcmError,
     PairingMismatch,
     PositiveOffDiagonal,
     RankMismatch,
@@ -25,7 +26,15 @@ IntVector = tuple[int, ...]
 
 
 def _freeze(rows) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """rows as an integer matrix; GcmError on any row that is not a list or
+    tuple and on any entry that is not an int (floats and bools included)."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
+        raise GcmError("GCM must be a list of rows")
+    for row in rows:
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise GcmError(f"GCM entry {x!r} is not an integer")
+    return tuple(tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,11 @@ def validate_gcm(matrix) -> GeneralizedCartanMatrix:
 
 
 def gcm_from_json(text: str) -> GeneralizedCartanMatrix:
+    """The GCM of a JSON object {"a": rows, ...}; GcmError unless the text is
+    such an object, then the checks of validate_gcm."""
     data = json.loads(text)
+    if not isinstance(data, dict) or "a" not in data:
+        raise GcmError('GCM JSON must be an object with a matrix "a"')
     return validate_gcm(data["a"])
 
 

@@ -9,6 +9,7 @@ every report together with the seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field as dc_field
@@ -47,7 +48,6 @@ class GroupOracle:
     birkhoff: object  # g -> WeylElement over gcm
     level_of_root: object  # vector -> int
     bruhat_key: object  # g -> hashable, constant on g B_+
-    birkhoff_key: object  # g -> hashable, constant on g B_-
 
     def simple_vector(self, i: int):
         return tuple(1 if k == i else 0 for k in range(self.gcm.n))
@@ -91,7 +91,6 @@ def split_oracle(group: LoopGroup, name: str = None) -> GroupOracle:
         birkhoff=group.birkhoff_cell,
         level_of_root=lambda v: v[0],
         bruhat_key=lambda g: group.bruhat_weyl(g).word,
-        birkhoff_key=lambda g: group.birkhoff_cell(g).word,
     )
 
 
@@ -112,7 +111,6 @@ def su3_oracle(d: HermitianDescentDatum) -> GroupOracle:
         birkhoff=lambda g: fold_to_relative(d, amb.birkhoff_cell(g)),
         level_of_root=lambda v: v[0],
         bruhat_key=lambda g: amb.bruhat_weyl(g).word,
-        birkhoff_key=lambda g: amb.birkhoff_cell(g).word,
     )
 
 
@@ -566,7 +564,6 @@ class IntegratedSubgroup:
             birkhoff=self._birkhoff,
             level_of_root=amb.level_of_root,
             bruhat_key=amb.bruhat_key,
-            birkhoff_key=amb.birkhoff_key,
         )
 
     # -- VwV normal form -------------------------------------------------------
@@ -751,31 +748,31 @@ BUILDING_BALL_CAP = 20000  # chambers
 def building_ball(oracle: GroupOracle, sign: int, radius: int) -> ChamberGraph:
     """BFS of the chamber graph of G/B_sign out to the given gallery radius.
 
-    The moves u s_hat across each panel type are formed and certified once:
-    no move lies in B_sign and no two moves differ by an element of B_sign
-    (OracleInconsistent otherwise), so each panel has len(moves) + 1
-    distinct chambers.  Chamber c skips the panel type of its last letter:
-    that panel is its parent's, walked when the parent was expanded.
-    Across any other panel:
+    A chamber at Weyl distance w from the base chamber lies on exactly one
+    minimal gallery of each reduced type of w (Abramenko-Brown, Buildings,
+    ch. 5), so it is named by the ShortLex word of w and the root-group
+    parameters along that gallery.  The moves u s_hat across each panel type
+    are formed and certified once: no move lies in B_sign and no two moves
+    differ by an element of B_sign (OracleInconsistent otherwise), so each
+    panel has len(moves) + 1 distinct chambers.  Chamber c with word w
+    walks its i-panel unless i is a descent of w; that panel is walked by
+    its projection, the chamber of the panel closest to the base chamber.
 
-    - When the GCM is of tree type (rank 2, a01 a10 >= 4), W is infinite
-      dihedral and every chamber has one gallery from the base chamber, so
-      c u s_hat is a new chamber named by (word + (i,), params + (p,)) with
-      no lookup.  This rests on certificates, never on a guess: the panel
-      certificate, and on sign +1 a cell witness per chamber: its Bruhat
-      key must equal the key of the s_hat product along its gallery word,
-      and distinct words must have distinct keys.  Sign -1 has no
-      per-chamber cell witness (the Birkhoff key is the codistance to B_+,
-      which varies along one gallery word); it rests on the panel
-      certificates and on the BN-pair property that check_trd verifies.
-    - Otherwise a target is looked up among the chambers with its coset key
-      (Bruhat cell for sign +1, Birkhoff cell for -1), by a Borel test
-      against their representatives' inverses, each computed once when its
-      chamber is found.
+    - If w + (i,) is the ShortLex word of w s_i, each move gives the new
+      chamber (w + (i,), params + (p,)) with no lookup.  On sign +1 its
+      Bruhat key must equal the key of the s_hat product along its word,
+      and distinct words must have distinct keys.  Sign -1 has no such
+      witness (the Birkhoff cell is the codistance to B_+, which varies
+      along one gallery word); it rests on the panel certificates, the
+      lookups below and the BN-pair checks of check_trd.
+    - Otherwise the target already exists: the frontier is in lexicographic
+      order of (letter, param) sequences, and two minimal galleries to one
+      chamber agree up to their first differing letter, so its ShortLex
+      parent was expanded first.  It is found among the chambers named by
+      the ShortLex word of w s_i by a Borel test of target^-1 rep; a miss
+      raises OracleInconsistent.
     """
-    key = oracle.bruhat_key if sign > 0 else oracle.birkhoff_key
-    cartan = oracle.gcm.a
-    tree = oracle.gcm.n == 2 and cartan[0][1] * cartan[1][0] >= 4
+    key = oracle.bruhat_key
     moves = {}
     for node in range(oracle.gcm.n):
         vector = tuple(sign * x for x in oracle.simple_vector(node))
@@ -784,8 +781,8 @@ def building_ball(oracle: GroupOracle, sign: int, radius: int) -> ChamberGraph:
         _certify_panel(oracle, sign, node, moves[node])
     ident = oracle.identity
     chambers = [TwinChamber(sign, (), (), ident)]
+    by_word = {(): [0]}  # ShortLex word -> indices of the chambers it names
     base_key = key(ident)
-    by_key = {base_key: [(0, ident)]}  # coset key -> [(index, rep^-1)]
     cells = {(): (ident, base_key)}  # gallery word -> (s_hat product, its key)
     words_by_cell = {base_key: ()}
 
@@ -798,6 +795,7 @@ def building_ball(oracle: GroupOracle, sign: int, radius: int) -> ChamberGraph:
             cells[word] = (rep, k)
         return cells[word][1]
 
+    shortlex = functools.cache(lambda word: weyl.from_word(oracle.gcm, word).word)
     edge_set = set()
     frontier = [0]
     for _layer in range(radius):
@@ -805,29 +803,29 @@ def building_ball(oracle: GroupOracle, sign: int, radius: int) -> ChamberGraph:
         for idx in frontier:
             c = chambers[idx]
             for node, node_moves in moves.items():
-                if c.word[-1:] == (node,):
+                gallery = c.word + (node,)
+                word = shortlex(gallery)
+                if len(word) < len(gallery):
                     continue
                 panel = [idx]
-                word = c.word + (node,)
                 for pidx, mv in enumerate(node_moves):
                     target = oracle.mul(c.rep, mv)
-                    found = None
-                    if tree:
+                    params = c.params + (pidx,)
+                    if word != gallery:
+                        target_inv = oracle.inv(target)
+                        for found in by_word.get(word, ()):
+                            if oracle.in_borel(sign, oracle.mul(target_inv, chambers[found].rep)):
+                                break
+                        else:
+                            raise OracleInconsistent(f"chamber {gallery}|{params} matches no chamber named by {word}")
+                    else:
                         if sign > 0 and key(target) != cell_of(word):
                             raise OracleInconsistent(
-                                f"chamber {word}|{c.params + (pidx,)} lies outside the cell of its gallery word"
+                                f"chamber {word}|{params} lies outside the cell of its gallery word"
                             )
-                    else:
-                        same_key = by_key.setdefault(key(target), [])
-                        found = next(
-                            (j for j, rep_inv in same_key if oracle.in_borel(sign, oracle.mul(rep_inv, target))),
-                            None,
-                        )
-                    if found is None:
                         found = len(chambers)
-                        chambers.append(TwinChamber(sign, word, c.params + (pidx,), target))
-                        if not tree:
-                            same_key.append((found, oracle.inv(target)))
+                        chambers.append(TwinChamber(sign, word, params, target))
+                        by_word.setdefault(word, []).append(found)
                         new_frontier.append(found)
                         if len(chambers) > BUILDING_BALL_CAP:
                             raise OracleInconsistent(f"ball exceeded cap {BUILDING_BALL_CAP}")

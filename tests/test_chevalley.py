@@ -332,15 +332,8 @@ def test_pattern_reader_edge_cases():
 
 
 def test_affine_root_positivity_convention():
-    from twinroot.chevalley import AffineRootGroupElement, affine_root_is_positive
-
-    assert affine_root_is_positive((0, 1, 0))
-    assert not affine_root_is_positive((1, 0, 0))
-    assert affine_root_is_positive((1, 0, 1))
-    assert not affine_root_is_positive((0, 1, -1))
-    assert AffineRootGroupElement((1, 0), 1, 1).is_positive
-    assert not AffineRootGroupElement((1, 0), 0, 1).is_positive
-    # matches the sign of the root-lattice vector
+    # I + r t^k E_ij is positive iff k > 0 or (k = 0 and i < j), matching
+    # the sign of the root-lattice vector
     G = loop_group(2, 3)
     from twinroot.weyl import root_sign
 
@@ -349,9 +342,7 @@ def test_affine_root_positivity_convention():
             if i == j:
                 continue
             for k in (-2, -1, 0, 1, 2):
-                assert (root_sign(G.root_vector((i, j, k))) > 0) == affine_root_is_positive(
-                    (i, j, k)
-                )
+                assert (root_sign(G.root_vector((i, j, k))) > 0) == (k > 0 or (k == 0 and i < j))
 
 
 def test_borel_elements_sit_in_the_identity_cell(rng):

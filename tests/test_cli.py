@@ -1,8 +1,13 @@
+import contextlib
 import io
 import json
+import os
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twinroot import cli
 
@@ -249,3 +254,87 @@ def test_roots_commands_reject_non_real_vectors(a, alpha, capsys, tmp_path):
         assert code == 1 and out == ""
         lines = [ln for ln in err.splitlines() if not ln.startswith("# twinroot ")]
         assert lines == [f"error: ({alpha.replace(',', ', ')}) is not a real root"]
+
+
+def _run_fresh(argv):
+    """(exit code, stdout, stderr lines other than the config echo) of one
+    CLI call; argparse rejections leave by SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.dispatch(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), [ln for ln in err.getvalue().splitlines() if not ln.startswith("# twinroot ")]
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=3)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(["a", "n", "b"]), kids, max_size=3),
+    max_leaves=8,
+)
+_NOT_AN_INT = (
+    st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=3) | st.lists(st.integers(), max_size=2)
+)
+
+
+@st.composite
+def _malformed_gcm_json(draw):
+    kind = draw(st.sampled_from(["not-an-object", "no-a", "a-not-rows", "bad-entry"]))
+    if kind == "not-an-object":
+        return json.dumps(draw(_JSON.filter(lambda v: not isinstance(v, dict))))
+    if kind == "no-a":
+        return json.dumps(draw(st.dictionaries(st.sampled_from(["n", "b"]), _JSON, max_size=3)))
+    if kind == "a-not-rows":
+        rows = draw(_JSON.filter(lambda v: not isinstance(v, list) or not all(isinstance(r, list) for r in v)))
+        return json.dumps({"a": rows})
+    rows = [[2, -1], [-1, 2]]
+    i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    rows[i][j] = draw(_NOT_AN_INT)
+    return json.dumps({"a": rows})
+
+
+@settings(max_examples=80, deadline=None)
+@example("[1,2]")
+@example("null")
+@example('{"a": 5}')
+@example('{"a": [[2, -1.5], [-1, 2]]}')
+@example('{"a": [[2, true], [-1, 2]]}')
+@given(_malformed_gcm_json())
+def test_cli_rejects_malformed_gcm_json(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "gcm.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, out, lines = _run_fresh(["gcm", "validate", "--gcm", path])
+    assert code == 1 and out == "" and len(lines) == 1 and lines[0].startswith("error: "), (text, lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        [["roots", "ball"], ["weyl", "ball"], ["trd", "check", "--group", "sl2"], ["trd", "twintree"],
+         ["roots", "interval"]]
+    ),
+    st.sampled_from(["--radius", "--level-window", "--search-radius"]),
+    st.integers(max_value=-1),
+    st.booleans(),
+)
+def test_cli_rejects_negative_numeric_flags(command, flag, value, joined):
+    argv = [*command, f"{flag}={value}"] if joined else [*command, flag, str(value)]
+    code, out, lines = _run_fresh(argv)
+    assert code == 1 and out == "" and len(lines) == 1 and "is negative" in lines[0], (argv, lines)
+
+
+@settings(max_examples=60, deadline=None)
+@example([5])
+@given(st.lists(st.integers(-5, 8), min_size=1, max_size=3).filter(lambda s0: any(not 0 <= i < 3 for i in s0)))
+def test_cli_rejects_s0_out_of_range(s0):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "aff2.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write('{"n": 3, "a": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]}')
+        alpha = ",".join(map(str, s0))
+        code, out, lines = _run_fresh(["cone", "fixed", "--gcm", path, "--word", "0,2,1", f"--alpha={alpha}"])
+    assert code == 1 and out == "" and len(lines) == 1 and "outside 0..2" in lines[0], (s0, lines)

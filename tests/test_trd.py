@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -437,7 +438,7 @@ def linear_scan_balls(oracle, sign, radius):
     first r layers): root groups asked again at every chamber, and a target
     matched by scanning every chamber with its coset key, inverting that
     chamber's representative at each test."""
-    key = oracle.bruhat_key if sign > 0 else oracle.birkhoff_key
+    key = oracle.bruhat_key if sign > 0 else lambda g: oracle.birkhoff(g).word
     ident = oracle.identity
     chambers = [trd.TwinChamber(sign, (), (), ident)]
     keys = [key(ident)]
@@ -553,3 +554,24 @@ def test_ball_certificates_reject_faulty_oracles():
     length_key = replace(orc, bruhat_key=lambda g: len(orc.bruhat_key(g)))
     with pytest.raises(OracleInconsistent, match="share the coset key"):
         trd.building_ball(length_key, +1, 3)
+
+
+def test_building_ball_on_rewired_sl3_root_groups():
+    # one simple root group of SL_3(F_2), of either sign, wired to another:
+    # the ball is the correct one or the walk raises.  On sign -1 some
+    # wirings show only as a non-ShortLex ascent that reaches no chamber.
+    orc = sl3_oracle(2)
+    base = orc.root_group_elements
+    simple = [tuple(sgn * (k == i) for k in range(3)) for i in range(3) for sgn in (1, -1)]
+    good = {sign: trd.building_ball(orc, sign, 3).to_json() for sign in (+1, -1)}
+    misses = 0
+    for src, dst in itertools.permutations(simple, 2):
+        rewired = replace(orc, root_group_elements=lambda v, src=src, dst=dst: base(dst if v == src else v))
+        for sign in (+1, -1):
+            try:
+                ball = trd.building_ball(rewired, sign, 3)
+            except OracleInconsistent as exc:
+                misses += sign < 0 and "matches no chamber" in str(exc)
+            else:
+                assert ball.to_json() == good[sign], (src, dst, sign)
+    assert misses
