@@ -163,10 +163,12 @@ class LoopGroup:
     # and its inverse has the pattern (pi^-1, -e o pi^-1) (Bjorner-Brenti,
     # Combinatorics of Coxeter Groups, ch. 8: affine permutations).
 
-    def _weyl_of_pattern(self, pattern) -> WeylElement:
+    @lru_cache(maxsize=4096)
+    def _weyl_of_pattern(self, pattern: tuple) -> WeylElement:
         """Affine Weyl element acting on the root groups as the pattern's
         matrices do; OracleInconsistent if pi is not a permutation or no
-        Weyl element acts that way."""
+        Weyl element acts that way.  Cached: bruhat_cell's probes meet the
+        same few patterns many times."""
         inverse = [None] * self.n
         for j, (i, e) in enumerate(pattern):
             inverse[i] = (j, -e)
@@ -193,7 +195,7 @@ class LoopGroup:
             if len(nonzero) != 1 or not nonzero[0][1].is_monomial():
                 raise OracleInconsistent("matrix is not monomial")
             pattern.append((nonzero[0][0], nonzero[0][1].val))
-        return self._weyl_of_pattern(pattern)
+        return self._weyl_of_pattern(tuple(pattern))
 
     @lru_cache(maxsize=None)
     def _canonical_s(self, node: int) -> LaurentMatrix:
@@ -202,6 +204,12 @@ class LoopGroup:
     @lru_cache(maxsize=None)
     def _canonical_s_inv(self, node: int) -> LaurentMatrix:
         return self._canonical_s(node).inverse()
+
+    @lru_cache(maxsize=None)
+    def _probe_factor(self, node: int, r: int) -> LaurentMatrix:
+        """s_node^-1 * x_node(-r), the left factor of bruhat_cell's probes."""
+        minus = self.root_group_element(self.simple_roots[node], self.field.neg(r))
+        return self._canonical_s_inv(node) * minus
 
     def canonical_representative(self, w: WeylElement) -> LaurentMatrix:
         out = self.identity()
@@ -251,30 +259,32 @@ class LoopGroup:
         shift = 1 if down else -1
 
         def kill(target, gen, s, coef_t, coef_g):
-            # target -= (coef_t / coef_g) * t^(s*shift... computed by caller) * gen
+            # target - (coef_t / coef_g) * t^s * gen, entrywise
             factor = f.mul(coef_t, f.inv(coef_g))
-            return [
-                tp - gp.shift(s).scale(factor) for tp, gp in zip(target, gen)
-            ]
+            return [tp.minus_times(factor, s, gp) for tp, gp in zip(target, gen)]
+
+        def lead(gen):
+            d = self._fmax(gen, n)
+            if d is None:
+                raise NotUnimodular("dependent columns; matrix not invertible")
+            return d
 
         out = []
         for k in range(n):
             gens = [list(columns[kp]) for kp in range(k)] + [
                 [p.shift(shift) for p in columns[kp]] for kp in range(k, n)
             ]
+            leads = [lead(gen) for gen in gens]
             # echelon the generators: distinct leading classes
             changed = True
             while changed:
                 changed = False
                 by_class: dict[int, int] = {}
-                for gi, gen in enumerate(gens):
-                    d = self._fmax(gen, n)
-                    if d is None:
-                        raise NotUnimodular("dependent columns; matrix not invertible")
+                for gi, d in enumerate(leads):
                     cls = d % n
                     if cls in by_class:
                         oi = by_class[cls]
-                        od = self._fmax(gens[oi], n)
+                        od = leads[oi]
                         # kill the smaller lead (down) / the larger one (up)
                         if (d <= od) == down:
                             tgt, src, td, sd = gi, oi, d, od
@@ -283,13 +293,11 @@ class LoopGroup:
                         _, te, tc = self._top_coeff(gens[tgt], td)
                         _, se, sc = self._top_coeff(gens[src], sd)
                         gens[tgt] = kill(gens[tgt], gens[src], te - se, tc, sc)
+                        leads[tgt] = lead(gens[tgt])
                         changed = True
                         break
                     by_class[cls] = gi
-            lead_of_class = {}
-            for gen in gens:
-                d = self._fmax(gen, n)
-                lead_of_class[d % n] = (d, gen)
+            lead_of_class = {d % n: (d, gen) for d, gen in zip(leads, gens)}
             # reduce the k-th column against the echeloned generators
             v = list(columns[k])
             while True:
@@ -315,7 +323,7 @@ class LoopGroup:
         n = self.n
         order = range(n) if down else range(n - 1, -1, -1)
         profile = self._reduce_profile([self._column(g, k) for k in order], down)
-        pattern = [(d % n, (d % n - d) // n) for d in profile]
+        pattern = tuple((d % n, (d % n - d) // n) for d in profile)
         return self._weyl_of_pattern(pattern if down else pattern[::-1])
 
     def bruhat_weyl(self, g: LaurentMatrix) -> WeylElement:
@@ -351,7 +359,7 @@ class LoopGroup:
                 rng.shuffle(params)
             hit = None
             for r in params:
-                cand = s_inv * self.root_group_element(self.simple_roots[i], f.neg(r)) * rest
+                cand = self._probe_factor(i, r) * rest
                 # a suffix of a ShortLex-least word is ShortLex-least
                 if self._cell(cand, True).word == target:
                     hit = (r, cand)

@@ -1,9 +1,9 @@
 """Small finite fields F_q, q = p^e with p in {2,3,5} and e in {1,2}.
 
 Elements are encoded as integers 0..q-1 (base-p digits = coefficients in the
-fixed irreducible-polynomial basis), with table-driven multiplication and
-inversion so serialized values are bit-stable.  The Frobenius x -> x^p is an
-automorphism fixing exactly the degree-1 subfield.
+fixed irreducible-polynomial basis), with table-driven addition, negation,
+multiplication and inversion so serialized values are bit-stable.  The
+Frobenius x -> x^p is an automorphism fixing exactly the degree-1 subfield.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ class GaloisField:
         self.p = p
         self.e = e
         self.q = p**e
+        digits = [self._digits(a) for a in range(self.q)]
+        self._add = [[self._undigits(a0 + b0, a1 + b1) for b0, b1 in digits] for a0, a1 in digits]
+        self._neg = [self._undigits(-a0, -a1) for a0, a1 in digits]
         self._mul = [[self._poly_mul(a, b) for b in range(self.q)] for a in range(self.q)]
         self._inv = [0] * self.q
         for a in range(1, self.q):
@@ -59,16 +62,13 @@ class GaloisField:
         return self._undigits(d0 - d2 * c0, d1 - d2 * c1)
 
     def add(self, a: int, b: int) -> int:
-        a0, a1 = self._digits(a)
-        b0, b1 = self._digits(b)
-        return self._undigits(a0 + b0, a1 + b1)
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        a0, a1 = self._digits(a)
-        return self._undigits(-a0, -a1)
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]

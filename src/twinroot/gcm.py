@@ -25,15 +25,19 @@ IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
 
-def _freeze(rows) -> IntMatrix:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _freeze(rows, what: str = "GCM") -> IntMatrix:
     """rows as an integer matrix; GcmError on any row that is not a list or
     tuple and on any entry that is not an int (floats and bools included)."""
     if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
-        raise GcmError("GCM must be a list of rows")
+        raise GcmError(f"{what} must be a list of rows")
     for row in rows:
         for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise GcmError(f"GCM entry {x!r} is not an integer")
+            if not _is_int(x):
+                raise GcmError(f"{what} entry {x!r} is not an integer")
     return tuple(tuple(row) for row in rows)
 
 
@@ -133,13 +137,17 @@ class KacMoodyRootDatum:
 
 
 def datum_from_json(text: str) -> KacMoodyRootDatum:
+    """The root datum of a JSON object {"gcm": {"a": rows}, "m": int, "c":
+    rows, "h": rows}; GcmError unless the text has that shape, then the
+    checks of validate_gcm and KacMoodyRootDatum."""
     data = json.loads(text)
-    gcm = validate_gcm(data["gcm"]["a"])
+    if not (isinstance(data, dict) and isinstance(data.get("gcm"), dict) and "a" in data["gcm"]
+            and {"m", "c", "h"} <= data.keys()):
+        raise GcmError('datum JSON must be an object {"gcm": {"a": rows}, "m": int, "c": rows, "h": rows}')
+    if not _is_int(data["m"]):
+        raise GcmError(f"lattice rank m = {data['m']!r} is not an integer")
     return KacMoodyRootDatum(
-        gcm,
-        int(data["m"]),
-        tuple(tuple(int(x) for x in v) for v in data["c"]),
-        tuple(tuple(int(x) for x in v) for v in data["h"]),
+        validate_gcm(data["gcm"]["a"]), data["m"], _freeze(data["c"], "roots c"), _freeze(data["h"], "co-roots h")
     )
 
 

@@ -14,6 +14,20 @@ from .errors import NotUnimodular, RankMismatch, UnknownFormat
 from .fields import FqElement, GaloisField
 
 
+def _sum_of_products(field: GaloisField, products, start=()) -> "LaurentPoly":
+    """start + the sum of a * b over the (a, b) pairs of term tuples in
+    products: one table lookup per coefficient product and sum, one sort."""
+    add, mul = field._add, field._mul
+    acc = dict(start)
+    for left, right in products:
+        for e1, v1 in left:
+            row = mul[v1]
+            for e2, v2 in right:
+                e = e1 + e2
+                acc[e] = add[acc.get(e, 0)][row[v2]]
+    return LaurentPoly(field, tuple(sorted((e, v) for e, v in acc.items() if v)))
+
+
 @dataclass(frozen=True)
 class LaurentPoly:
     field: GaloisField
@@ -73,39 +87,28 @@ class LaurentPoly:
         return self.terms[-1][0]
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        f = self.field
-        if other.field is not f:
+        if other.field is not self.field:
             raise RankMismatch("polynomials over different fields")
-        acc = dict(self.terms)
-        for e, v in other.terms:
-            s = f.add(acc.get(e, 0), v)
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-        return LaurentPoly(f, tuple(sorted(acc.items())))
+        return _sum_of_products(self.field, ((((0, 1),), other.terms),), self.terms)
 
     def __neg__(self) -> "LaurentPoly":
         f = self.field
         return LaurentPoly(f, tuple((e, f.neg(v)) for e, v in self.terms))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self.minus_times(1, 0, other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if other.field is not self.field:
+            raise RankMismatch("polynomials over different fields")
+        return _sum_of_products(self.field, ((self.terms, other.terms),))
+
+    def minus_times(self, value: int, k: int, other: "LaurentPoly") -> "LaurentPoly":
+        """self - value * t^k * other in one pass (value an encoded field value)."""
         f = self.field
         if other.field is not f:
             raise RankMismatch("polynomials over different fields")
-        acc: dict[int, int] = {}
-        for e1, v1 in self.terms:
-            for e2, v2 in other.terms:
-                e = e1 + e2
-                s = f.add(acc.get(e, 0), f.mul(v1, v2))
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        return LaurentPoly(f, tuple(sorted(acc.items())))
+        return _sum_of_products(f, ((((k, f.neg(value)),), other.terms),), self.terms)
 
     def scale(self, value: int) -> "LaurentPoly":
         """Multiply by an encoded field value."""
@@ -171,21 +174,10 @@ class LaurentMatrix:
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.field is not other.field or self.n != other.n:
             raise RankMismatch("matrix shape or field mismatch")
-        n = self.n
-        zero = LaurentPoly.zero(self.field)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a = self.rows[i][k]
-                    b = other.rows[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return LaurentMatrix(self.field, n, tuple(out))
+        f, n = self.field, self.n
+        rows = [[p.terms for p in row] for row in self.rows]
+        cols = [[row[j].terms for row in other.rows] for j in range(n)]
+        return LaurentMatrix(f, n, tuple(tuple(_sum_of_products(f, zip(r, c)) for c in cols) for r in rows))
 
     def det(self) -> LaurentPoly:
         r = self.rows

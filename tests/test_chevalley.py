@@ -199,6 +199,43 @@ def test_bruhat_round_trip_and_order_independence(rng):
         assert w2 == w
 
 
+def uncached_bruhat_cell(G, g, rng=None):
+    """bruhat_cell with each probe formed anew as s_i^-1 * x_i(-r) * rest,
+    no factor reused between probes."""
+    w = G.bruhat_weyl(g)
+    f = G.field
+    rest, b1 = g, G.identity()
+    prefix = prefix_inv = G.identity()
+    for pos, i in enumerate(w.word):
+        s_inv = G._canonical_s_inv(i)
+        params = list(f.elements())
+        if rng is not None:
+            rng.shuffle(params)
+        for r in params:
+            cand = s_inv * G.root_group_element(G.simple_roots[i], f.neg(r)) * rest
+            if G._cell(cand, True).word == w.word[pos + 1 :]:
+                break
+        else:
+            raise OracleInconsistent("descent peeling failed to shorten the cell")
+        rest = cand
+        b1 = b1 * prefix * G.root_group_element(G.simple_roots[i], r) * prefix_inv
+        prefix, prefix_inv = prefix * G._canonical_s(i), s_inv * prefix_inv
+    return w, b1, rest
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (9, 2), (2, 3), (4, 3)])
+def test_bruhat_cell_matches_uncached_probes(q, n):
+    G = loop_group(q, n)
+    rng = random.Random(f"bruhat-probes/{q}/{n}")
+    for _ in range(12):
+        g = G.random_element(rng, steps=6 if n == 2 else 5)
+        order_seed = rng.randrange(10**6)
+        for shuffle in (None, order_seed):
+            got = G.bruhat_cell(g, None if shuffle is None else random.Random(shuffle))
+            ref = uncached_bruhat_cell(G, g, None if shuffle is None else random.Random(shuffle))
+            assert (got[0].word, got[1], got[2]) == (ref[0].word, ref[1], ref[2])
+
+
 def test_degree_window_guard():
     G = loop_group(2, 2, window=3)
     f = G.field

@@ -1,11 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinroot.errors import NotUnimodular, RankMismatch, UnknownFormat
 from twinroot.fields import GF, FqElement, gf_of_order
 from twinroot.laurent import LaurentMatrix, LaurentPoly, diagonal, elementary, matrix_from_json
 
+FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)]
+ORDERS = [p**e for p, e in FIELDS]
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)])
+
+@pytest.mark.parametrize("p,e", FIELDS)
 def test_field_axioms(p, e):
     f = GF(p, e)
     elems = list(f.elements())
@@ -115,3 +120,117 @@ def test_degree_window_span():
     f = GF(2, 1)
     g = diagonal(f, (LaurentPoly.monomial(f, 5, 1), LaurentPoly.monomial(f, -5, 1)))
     assert g.max_degree_span() == 5
+
+
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_add_neg_sub_tables_match_digit_formula(p, e):
+    # value = c0 + c1 p encodes c0 + c1 x; sums and negatives go digitwise mod p
+    f = GF(p, e)
+
+    def encode(c0, c1):
+        return c0 % p + (c1 % p) * p
+
+    for a in f.elements():
+        assert f.neg(a) == encode(-(a % p), -(a // p))
+        for b in f.elements():
+            assert f.add(a, b) == encode(a % p + b % p, a // p + b // p)
+            assert f.sub(a, b) == encode(a % p - b % p, a // p - b // p)
+
+
+# --- Laurent arithmetic against a dict-of-coefficients reference ------------------
+
+
+def ref_add(x, y):
+    f, acc = x.field, dict(x.terms)
+    for e, v in y.terms:
+        s = f.add(acc.get(e, 0), v)
+        if s:
+            acc[e] = s
+        elif e in acc:
+            del acc[e]
+    return LaurentPoly(f, tuple(sorted(acc.items())))
+
+
+def ref_mul(x, y):
+    f, acc = x.field, {}
+    for e1, v1 in x.terms:
+        for e2, v2 in y.terms:
+            e = e1 + e2
+            s = f.add(acc.get(e, 0), f.mul(v1, v2))
+            if s:
+                acc[e] = s
+            elif e in acc:
+                del acc[e]
+    return LaurentPoly(f, tuple(sorted(acc.items())))
+
+
+def ref_matmul(a, b):
+    """Schoolbook product, entry by entry: acc = acc + a_ik * b_kj."""
+    n, f = a.n, a.field
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = LaurentPoly.zero(f)
+            for k in range(n):
+                if a.rows[i][k].terms and b.rows[k][j].terms:
+                    acc = ref_add(acc, ref_mul(a.rows[i][k], b.rows[k][j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return LaurentMatrix(f, n, tuple(rows))
+
+
+def polys(f, count):
+    coeffs = st.dictionaries(st.integers(-4, 4), st.integers(0, f.q - 1), max_size=5)
+    return st.lists(coeffs.map(lambda m: LaurentPoly.of(f, m)), min_size=count, max_size=count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_laurent_ring_laws(data):
+    f = gf_of_order(data.draw(st.sampled_from(ORDERS)))
+    a, b, c = data.draw(polys(f, 3))
+    zero = LaurentPoly.zero(f)
+    assert a * b == ref_mul(a, b) and a + b == ref_add(a, b)
+    assert a - b == ref_add(a, -b)
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + (-a) == zero and a - a == zero and a + zero == a
+    k, v = data.draw(st.integers(-3, 3)), data.draw(st.integers(0, f.q - 1))
+    t_kv = LaurentPoly.monomial(f, k, v)
+    assert a.shift(k).scale(v) == a * t_kv == a.scale(v).shift(k)
+    assert (a * b).shift(k) == a.shift(k) * b
+    assert (a * b).scale(v) == a.scale(v) * b
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_minus_times_is_the_fused_reduction_step(data):
+    # the reduction step of LoopGroup._reduce_profile: target - c * t^s * gen
+    f = gf_of_order(data.draw(st.sampled_from(ORDERS)))
+    tp, gp = data.draw(polys(f, 2))
+    s, c = data.draw(st.integers(-3, 3)), data.draw(st.integers(0, f.q - 1))
+    assert tp.minus_times(c, s, gp) == tp - gp.shift(s).scale(c)
+    assert gp.minus_times(1, 0, gp).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matrix_product_matches_schoolbook_reference(data):
+    f = gf_of_order(data.draw(st.sampled_from(ORDERS)))
+    n = data.draw(st.integers(1, 3))
+    a, b = (
+        LaurentMatrix(f, n, tuple(tuple(data.draw(polys(f, n))) for _ in range(n))) for _ in range(2)
+    )
+    assert a * b == ref_matmul(a, b)
+
+
+def test_arithmetic_rejects_mixed_fields():
+    x, y = LaurentPoly.one(GF(2, 1)), LaurentPoly.one(GF(3, 1))
+    for op in (x.__add__, x.__sub__, x.__mul__):
+        with pytest.raises(RankMismatch):
+            op(y)
+    with pytest.raises(RankMismatch):
+        LaurentMatrix.identity(GF(2, 1), 2) * LaurentMatrix.identity(GF(3, 1), 2)

@@ -1,7 +1,11 @@
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twinroot import gcm
-from twinroot.errors import DiagonalNotTwo, PositiveOffDiagonal, RankMismatch, ZeroAsymmetry
+from twinroot.errors import DiagonalNotTwo, GcmError, PositiveOffDiagonal, RankMismatch, ZeroAsymmetry
 
 from conftest import FINITE_GCMS, TEST_GCMS
 
@@ -112,3 +116,51 @@ def test_json_round_trip():
     assert gcm.datum_from_json(D.to_json()) == D
     A = gcm.gcm_from_json(gcm.AFFINE_A2.to_json())
     assert A == gcm.AFFINE_A2
+
+
+_A1 = {"gcm": {"n": 1, "a": [[2]]}, "m": 1, "c": [[2]], "h": [[1]]}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(["a", "n", "m"]), kids, max_size=3),
+    max_leaves=8,
+)
+_MALFORMED_DATA = [
+    "[1]",
+    json.dumps({**_A1, "h": 5}),
+    json.dumps({k: v for k, v in _A1.items() if k != "gcm"}),
+    json.dumps({**_A1, "m": 1.7, "c": [[2.9]]}),
+]
+
+
+@st.composite
+def _mutated_datum_json(draw):
+    """The A1 datum with one field replaced, dropped, or the whole text replaced."""
+    key = draw(st.sampled_from(["gcm", "m", "c", "h", None]))
+    if key is None:
+        return json.dumps(draw(_JSON))
+    data = dict(_A1)
+    if draw(st.booleans()):
+        del data[key]
+    else:
+        data[key] = draw(_JSON)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text", _MALFORMED_DATA, ids=["not-an-object", "h-not-rows", "no-gcm", "float-m-and-c"])
+def test_datum_from_json_rejects_malformed_text(text):
+    with pytest.raises(GcmError):
+        gcm.datum_from_json(text)
+
+
+@settings(max_examples=150, deadline=None)
+@example(_MALFORMED_DATA[0])
+@example(_MALFORMED_DATA[1])
+@example(_MALFORMED_DATA[2])
+@example(_MALFORMED_DATA[3])
+@given(_mutated_datum_json())
+def test_datum_from_json_returns_a_datum_or_a_typed_error(text):
+    try:
+        D = gcm.datum_from_json(text)
+    except (GcmError, RankMismatch):
+        return
+    assert gcm.datum_from_json(D.to_json()) == D
