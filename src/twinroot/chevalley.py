@@ -226,6 +226,10 @@ class LoopGroup:
     # invariant of the Iwahori double coset (resp. of B_+ g B_-).
 
     def _check_input(self, g: LaurentMatrix):
+        if g.n != self.n or g.field is not self.field:
+            raise RankMismatch(
+                f"expected a {self.n}x{self.n} matrix over {self.field}, got {g.n}x{g.n} over {g.field}"
+            )
         if g.max_degree_span() > self.window:
             raise DegreeWindowExceeded(
                 f"matrix spans t-degrees beyond the window +-{self.window}"
@@ -246,72 +250,45 @@ class LoopGroup:
                     best = d
         return best
 
-    def _top_coeff(self, col, d: int):
-        i = d % self.n
-        e = (i - d) // self.n
-        return i, e, col[i].coeff(e)
-
     def _reduce_profile(self, columns, down: bool):
-        """Jump profile u(k) of the ordered columns modulo the span of the
-        earlier ones over F_q[[t]] (down=True) or F_q[[1/t]] (down=False)."""
-        n = self.n
-        f = self.field
-        shift = 1 if down else -1
+        """Jump profile u(k) of the ordered columns c_k: the lead (largest
+        f-index) of c_k modulo L_k = L_0 + R c_0 + ... + R c_(k-1), where
+        L_0 = t^s span(columns), R = F_q[[t^s]] and s = 1 (down=True) or -1.
 
-        def kill(target, gen, s, coef_t, coef_g):
-            # target - (coef_t / coef_g) * t^s * gen, entrywise
-            factor = f.mul(coef_t, f.inv(coef_g))
-            return [tp.minus_times(factor, s, gp) for tp, gp in zip(target, gen)]
+        L_0 is echeloned once, to one generator per lead class d mod n.
+        dim(L_k / L_0) = k, so [L_(k+1) : L_k] = q and the lead set of
+        L_(k+1) is that of L_k plus u(k) alone: the reduced c_k replaces the
+        generator of its class and the generators stay echeloned."""
+        n, f = self.n, self.field
+        s = 1 if down else -1
+        gens: dict[int, tuple[int, list]] = {}  # lead class -> (lead, generator)
 
-        def lead(gen):
-            d = self._fmax(gen, n)
-            if d is None:
-                raise NotUnimodular("dependent columns; matrix not invertible")
-            return d
-
-        out = []
-        for k in range(n):
-            gens = [list(columns[kp]) for kp in range(k)] + [
-                [p.shift(shift) for p in columns[kp]] for kp in range(k, n)
-            ]
-            leads = [lead(gen) for gen in gens]
-            # echelon the generators: distinct leading classes
-            changed = True
-            while changed:
-                changed = False
-                by_class: dict[int, int] = {}
-                for gi, d in enumerate(leads):
-                    cls = d % n
-                    if cls in by_class:
-                        oi = by_class[cls]
-                        od = leads[oi]
-                        # kill the smaller lead (down) / the larger one (up)
-                        if (d <= od) == down:
-                            tgt, src, td, sd = gi, oi, d, od
-                        else:
-                            tgt, src, td, sd = oi, gi, od, d
-                        _, te, tc = self._top_coeff(gens[tgt], td)
-                        _, se, sc = self._top_coeff(gens[src], sd)
-                        gens[tgt] = kill(gens[tgt], gens[src], te - se, tc, sc)
-                        leads[tgt] = lead(gens[tgt])
-                        changed = True
-                        break
-                    by_class[cls] = gi
-            lead_of_class = {d % n: (d, gen) for d, gen in zip(leads, gens)}
-            # reduce the k-th column against the echeloned generators
-            v = list(columns[k])
+        def reduce(v):
+            # subtract R-multiples of the class generators until none can kill the lead
             while True:
                 d = self._fmax(v, n)
                 if d is None:
-                    raise NotUnimodular("column reduced to zero; matrix not invertible")
-                cls = d % n
-                gd, gen = lead_of_class[cls]
-                can = gd >= d if down else gd <= d
-                if not can:
-                    break
-                _, te, tc = self._top_coeff(v, d)
-                _, se, sc = self._top_coeff(gen, gd)
-                v = kill(v, gen, te - se, tc, sc)
+                    raise NotUnimodular("dependent columns; matrix not invertible")
+                i = d % n
+                gd, gen = gens.get(i, (None, None))
+                if gd is None or s * gd < s * d:
+                    return d, v
+                e, ge = (i - d) // n, (i - gd) // n
+                factor = f.mul(v[i].coeff(e), f.inv(gen[i].coeff(ge)))
+                v = [p.minus_times(factor, e - ge, gp) for p, gp in zip(v, gen)]
+
+        queue = [[p.shift(s) for p in col] for col in columns]
+        while queue:
+            d, v = reduce(queue.pop())
+            # v's lead is one its class generator cannot kill: v displaces it
+            displaced = gens.get(d % n)
+            gens[d % n] = (d, v)
+            if displaced is not None:
+                queue.append(displaced[1])
+        out = []
+        for col in columns:
+            d, v = reduce(col)
+            gens[d % n] = (d, v)
             out.append(d)
         return out
 

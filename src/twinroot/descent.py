@@ -269,13 +269,6 @@ def su3_datum(q: int, window: int = 8) -> HermitianDescentDatum:
 # --- top-level operations -------------------------------------------------
 
 
-def su3_fixed_points(d: HermitianDescentDatum, g: LaurentMatrix) -> bool:
-    """Membership test for the quasi-split group: g = sigma(g)."""
-    if g.n != 3:
-        raise RankMismatch("expected a 3x3 matrix")
-    return d.is_fixed(g)
-
-
 def relative_root_group(d: HermitianDescentDatum, node: int, level: int = 0):
     """(elements, center) of the simple relative root group; level 0 only."""
     if level != 0:

@@ -8,7 +8,6 @@ Frobenius x -> x^p is an automorphism fixing exactly the degree-1 subfield.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import RankMismatch
@@ -96,9 +95,6 @@ class GaloisField:
     def trace_zero(self):
         return [a for a in self.elements() if self.trace(a) == 0]
 
-    def element(self, value: int) -> "FqElement":
-        return FqElement(self, value % self.q if self.e == 1 else value)
-
     def __repr__(self):
         return f"GF({self.q})"
 
@@ -126,58 +122,3 @@ def gf_of_order(q: int) -> GaloisField:
             return GF(p, e)
     raise RankMismatch(f"unsupported field order {q}")
 
-
-@dataclass(frozen=True)
-class FqElement:
-    """A field element: (p, e) come from the interned field object."""
-
-    field: GaloisField
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.q:
-            raise RankMismatch(f"value {self.value} outside field of order {self.field.q}")
-
-    @property
-    def p(self) -> int:
-        return self.field.p
-
-    @property
-    def e(self) -> int:
-        return self.field.e
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        c0, c1 = self.field._digits(self.value)
-        return (c0,) if self.e == 1 else (c0, c1)
-
-    def _check(self, other):
-        if self.field is not other.field:
-            raise RankMismatch("elements of different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FqElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FqElement(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FqElement(self.field, self.field.mul(self.value, other.value))
-
-    def __neg__(self):
-        return FqElement(self.field, self.field.neg(self.value))
-
-    def inv(self):
-        return FqElement(self.field, self.field.inv(self.value))
-
-    def frobenius(self):
-        return FqElement(self.field, self.field.frobenius(self.value))
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __repr__(self):
-        return f"{self.value}@GF{self.field.q}"

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import NotUnimodular, RankMismatch, UnknownFormat
-from .fields import FqElement, GaloisField
+from .fields import GaloisField
 
 
 def _sum_of_products(field: GaloisField, products, start=()) -> "LaurentPoly":
@@ -211,11 +211,15 @@ class LaurentMatrix:
         raise RankMismatch("adjugate implemented for n <= 3")
 
     def inverse(self) -> "LaurentMatrix":
-        d = self.det()
+        """adj / det, with det = row 0 times column 0 of the adjugate, so
+        each minor is formed once."""
+        adj = self.adjugate()
+        d = _sum_of_products(self.field, ((self.rows[0][j].terms, adj.rows[j][0].terms) for j in range(self.n)))
         if not d.is_monomial():
             raise NotUnimodular("matrix determinant is not a unit")
+        if d.is_one():
+            return adj
         dinv = d.unit_inverse()
-        adj = self.adjugate()
         return LaurentMatrix(
             self.field,
             self.n,
@@ -243,9 +247,7 @@ class LaurentMatrix:
 
     def to_json_obj(self):
         def poly_obj(p: LaurentPoly):
-            return [
-                {"k": e, "c": list(FqElement(self.field, v).coeffs)} for e, v in p.terms
-            ]
+            return [{"k": e, "c": list(self.field._digits(v)[: self.field.e])} for e, v in p.terms]
 
         return {"n": self.n, "q": self.field.q, "entries": [[poly_obj(p) for p in row] for row in self.rows]}
 
@@ -256,14 +258,17 @@ class LaurentMatrix:
         return "[" + "; ".join(", ".join(str(p) for p in row) for row in self.rows) + "]"
 
 
+def _is_int(x) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def matrix_from_json(field: GaloisField, data) -> LaurentMatrix:
     """Read {"n": int, "entries": n x n lists of {"k": int, "c": digits}
     terms}; anything else raises UnknownFormat or RankMismatch."""
     if isinstance(data, str):
         data = json.loads(data)
-    if not (
-        isinstance(data, dict) and isinstance(data.get("n"), int) and isinstance(data.get("entries"), list)
-    ):
+    if not (isinstance(data, dict) and _is_int(data.get("n")) and isinstance(data.get("entries"), list)):
         raise UnknownFormat('a matrix is an object {"n": int, "entries": [rows]}')
     n, entries = data["n"], data["entries"]
     if len(entries) != n or any(not isinstance(row, list) or len(row) != n for row in entries):
@@ -273,21 +278,21 @@ def matrix_from_json(field: GaloisField, data) -> LaurentMatrix:
         out_row = []
         for poly in row:
             if not isinstance(poly, list) or not all(
-                isinstance(term, dict) and isinstance(term.get("k"), int) for term in poly
+                isinstance(term, dict) and _is_int(term.get("k")) for term in poly
             ):
-                raise UnknownFormat(f"entry {poly} is not a list of {{k: int, c: digits}} terms")
+                raise UnknownFormat(f"entry {poly!r} is not a list of {{k: int, c: digits}} terms")
             acc = {}
             for term in poly:
                 coeffs = term["c"]
                 if not isinstance(coeffs, list) or not 1 <= len(coeffs) <= field.e or any(
-                    not isinstance(c, int) or not 0 <= c < field.p for c in coeffs
+                    not _is_int(c) or not 0 <= c < field.p for c in coeffs
                 ):
                     raise UnknownFormat(
-                        f"coefficient {coeffs} is not 1 to {field.e} base-{field.p} digits"
+                        f"coefficient {coeffs!r} is not 1 to {field.e} base-{field.p} digits"
                     )
                 value = coeffs[0] + (coeffs[1] * field.p if len(coeffs) > 1 else 0)
                 if value:
-                    acc[int(term["k"])] = value
+                    acc[term["k"]] = value
             out_row.append(LaurentPoly(field, tuple(sorted(acc.items()))))
         rows.append(tuple(out_row))
     return LaurentMatrix(field, n, tuple(rows))

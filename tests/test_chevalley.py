@@ -4,6 +4,7 @@ import pytest
 
 from twinroot import weyl
 from twinroot.chevalley import loop_group
+from twinroot.descent import su3_datum
 from twinroot.errors import BadRoot, DegreeWindowExceeded, NotUnimodular, OracleInconsistent, TrivialElement
 from twinroot.laurent import LaurentMatrix, LaurentPoly, diagonal, matrix_from_json
 
@@ -309,6 +310,74 @@ def reference_cell(G, g, down):
     for k, d in zip(order, profile):
         rows[d % n][k] = LaurentPoly.monomial(f, (d % n - d) // n, 1)
     return reference_weyl_from_monomial(G, LaurentMatrix(f, n, tuple(map(tuple, rows))))
+
+
+def _reference_profile(G, columns, down):
+    """Per-k reference for LoopGroup._reduce_profile: for each k, echelon
+    c_0..c_(k-1) and t^(+-1) c_k..c_(n-1) from scratch (restarting after
+    each kill), then reduce c_k against them; one kill is
+    target - c t^s gen by shift, scale and subtraction."""
+    n, f = G.n, G.field
+    shift = 1 if down else -1
+
+    def kill(target, td, gen, gd):
+        i = td % n
+        te, ge = (i - td) // n, (i - gd) // n
+        factor = f.mul(target[i].coeff(te), f.inv(gen[i].coeff(ge)))
+        return [tp - gp.shift(te - ge).scale(factor) for tp, gp in zip(target, gen)]
+
+    out = []
+    for k in range(n):
+        gens = [list(columns[j]) for j in range(k)] + [[p.shift(shift) for p in columns[j]] for j in range(k, n)]
+        leads = [G._fmax(gen, n) for gen in gens]
+        changed = True
+        while changed:
+            changed = False
+            by_class = {}
+            for gi, d in enumerate(leads):
+                oi = by_class.setdefault(d % n, gi)
+                if oi == gi:
+                    continue
+                # kill the smaller lead (down) / the larger one (up)
+                tgt, src = (gi, oi) if (d <= leads[oi]) == down else (oi, gi)
+                gens[tgt] = kill(gens[tgt], leads[tgt], gens[src], leads[src])
+                leads[tgt] = G._fmax(gens[tgt], n)
+                changed = True
+                break
+        lead_of_class = {d % n: (d, gen) for d, gen in zip(leads, gens)}
+        v = list(columns[k])
+        while True:
+            d = G._fmax(v, n)
+            gd, gen = lead_of_class[d % n]
+            if (gd < d) if down else (gd > d):
+                break
+            v = kill(v, d, gen, gd)
+        out.append(d)
+    return out
+
+
+PROFILE_GROUPS = {
+    "SL2(F_2)": lambda: loop_group(2, 2),
+    "SL2(F_3)": lambda: loop_group(3, 2),
+    "SL2(F_4)": lambda: loop_group(4, 2),
+    "SL2(F_9)": lambda: loop_group(9, 2),
+    "SL3(F_2)": lambda: loop_group(2, 3),
+    "SL3(F_4)": lambda: loop_group(4, 3),
+    "SU3(F_2)-ambient": lambda: su3_datum(2).ambient,
+}
+
+
+@pytest.mark.parametrize("name", list(PROFILE_GROUPS))
+def test_reduce_profile_matches_per_k_reference(name):
+    G = PROFILE_GROUPS[name]()
+    n = G.n
+    rng = random.Random(700 + list(PROFILE_GROUPS).index(name))
+    for _ in range(40):
+        # Iwahori factors on both sides widen the degree spans of the columns
+        g = random_iwahori(G, rng) * G.random_element(rng, steps=8) * random_iwahori(G, rng)
+        for order, down in ((range(n), True), (range(n - 1, -1, -1), False)):
+            columns = [[g.entry(i, k) for i in range(n)] for k in order]
+            assert G._reduce_profile(columns, down) == _reference_profile(G, columns, down)
 
 
 def torus_translations(G):

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -214,20 +215,32 @@ def test_group_bruhat_failed_factorization_is_a_typed_error(capsys, monkeypatch)
         assert lines == [f"error: coefficient [{digit}] is not 1 to 1 base-2 digits"]
 
 
+def _identity_json(n):
+    rows = [[[{"k": 0, "c": [1]}] if i == j else [] for j in range(n)] for i in range(n)]
+    return json.dumps({"n": n, "entries": rows})
+
+
 @pytest.mark.parametrize(
-    "text",
+    "verb, group, text",
     [
-        '{"n": 2, "entries": [[[{"k": 0, "c": 1}], []], [[], [{"k": 0, "c": [1]}]]]}',
-        '{"n": 2, "entries": [[[[0, 1]], []], [[], [{"k": 0, "c": [1]}]]]}',
-        '{"n": 2, "entries": [[[{"k": [0], "c": [1]}], []], [[], [{"k": 0, "c": [1]}]]]}',
-        '{"n": 2, "entries": [1, 2]}',
-        "[1, 2]",
+        ("bruhat", "sl2", '{"n": 2, "entries": [[[{"k": 0, "c": 1}], []], [[], [{"k": 0, "c": [1]}]]]}'),
+        ("bruhat", "sl2", '{"n": 2, "entries": [[[[0, 1]], []], [[], [{"k": 0, "c": [1]}]]]}'),
+        ("bruhat", "sl2", '{"n": 2, "entries": [[[{"k": [0], "c": [1]}], []], [[], [{"k": 0, "c": [1]}]]]}'),
+        ("bruhat", "sl2", '{"n": 2, "entries": [1, 2]}'),
+        ("bruhat", "sl2", "[1, 2]"),
+        ("birkhoff", "sl2", _identity_json(3)),
+        ("bruhat", "sl3", _identity_json(2)),
+        ("bruhat", "sl2", '{"n": true, "entries": [[[{"k": 0, "c": [1]}]]]}'),
+        ("bruhat", "sl2", '{"n": 2, "entries": [[[{"k": true, "c": [1]}], []], [[], [{"k": -1, "c": [1]}]]]}'),
     ],
-    ids=["coefficient_not_a_list", "term_not_an_object", "exponent_not_an_int", "row_not_a_list", "not_an_object"],
+    ids=[
+        "coefficient_not_a_list", "term_not_an_object", "exponent_not_an_int", "row_not_a_list", "not_an_object",
+        "3x3_for_sl2", "2x2_for_sl3", "size_is_a_bool", "exponent_is_a_bool",
+    ],
 )
-def test_group_bruhat_malformed_matrices_are_typed_errors(text, capsys, monkeypatch):
+def test_group_bruhat_malformed_matrices_are_typed_errors(verb, group, text, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    code, out, err = run(["group", "bruhat", "--group", "sl2", "--q", "2"], capsys)
+    code, out, err = run(["group", verb, "--group", group, "--q", "2"], capsys)
     assert code == 1 and out == ""
     lines = [ln for ln in err.splitlines() if not ln.startswith("# twinroot ")]
     assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -338,3 +351,60 @@ def test_cli_rejects_s0_out_of_range(s0):
         alpha = ",".join(map(str, s0))
         code, out, lines = _run_fresh(["cone", "fixed", "--gcm", path, "--word", "0,2,1", f"--alpha={alpha}"])
     assert code == 1 and out == "" and len(lines) == 1 and "outside 0..2" in lines[0], (s0, lines)
+
+
+_NOT_DIGITS = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3)
+    | st.lists(st.integers() | st.booleans() | st.floats(allow_nan=False), max_size=3).filter(
+        lambda c: not (len(c) == 1 and type(c[0]) is int and c[0] in (0, 1))
+    )
+)
+
+
+@st.composite
+def _bad_matrix_call(draw):
+    """(argv, stdin) of a group bruhat|birkhoff call over F_2 whose matrix
+    is malformed, of the wrong size for the group, not of determinant 1 or
+    beyond the degree window; the base matrix is the identity."""
+    n = draw(st.sampled_from([2, 3]))
+    data = json.loads(_identity_json(n))
+    entries = data["entries"]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(
+        ["not-an-object", "bad-n", "bad-entries", "bad-term", "bad-k", "bad-c", "wrong-size", "det", "window"]
+    ))
+    if kind == "not-an-object":
+        data = draw(_JSON.filter(lambda v: not isinstance(v, dict)))
+    elif kind == "bad-n":
+        data["n"] = draw(_NOT_AN_INT)
+    elif kind == "bad-entries":
+        def square(v):
+            return isinstance(v, list) and len(v) == n and all(isinstance(r, list) and len(r) == n for r in v)
+
+        data["entries"] = draw(_JSON.filter(lambda v: not square(v)))
+    elif kind == "bad-term":
+        not_a_list = _JSON.filter(lambda v: not isinstance(v, list))
+        not_a_dict = _JSON.filter(lambda v: not isinstance(v, dict))
+        entries[i][j] = draw(not_a_list | st.lists(not_a_dict, min_size=1, max_size=2))
+    elif kind == "bad-k":
+        entries[i][j] = [{"k": draw(_NOT_AN_INT), "c": [1]}]
+    elif kind == "bad-c":
+        entries[i][j] = [{"k": 0, "c": draw(_NOT_DIGITS)}]
+    elif kind == "det":
+        entries[0][0] = [{"k": draw(st.integers(-8, 8).filter(bool)), "c": [1]}]
+    elif kind == "window":
+        k = draw(st.integers(9, 10**6))
+        entries[0][0], entries[1][1] = [{"k": k, "c": [1]}], [{"k": -k, "c": [1]}]
+    group = 5 - n if kind == "wrong-size" else n
+    verb = draw(st.sampled_from(["bruhat", "birkhoff"]))
+    return ["group", verb, "--group", f"sl{group}", "--q", "2"], json.dumps(data)
+
+
+@settings(max_examples=100, deadline=None)
+@example((["group", "bruhat", "--group", "sl2", "--q", "2"], '{"n": 2, "entries": [["\\n", []], [[], []]]}'))
+@given(_bad_matrix_call())
+def test_cli_rejects_malformed_matrix_json(call):
+    argv, text = call
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        code, out, lines = _run_fresh(argv)
+    assert code == 1 and out == "" and len(lines) == 1 and lines[0].startswith("error: "), (argv, text, lines)

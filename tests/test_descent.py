@@ -9,7 +9,6 @@ from twinroot.descent import (
     maximal_split_subgroup,
     relative_root_group,
     su3_datum,
-    su3_fixed_points,
 )
 from twinroot.errors import BadRoot, NotUnimodular, UnsupportedLevel
 from twinroot.laurent import LaurentMatrix, LaurentPoly, diagonal
@@ -29,12 +28,12 @@ def test_sigma_is_an_involutive_automorphism(q):
 @pytest.mark.parametrize("q", [2, 3])
 def test_fixed_point_membership(q):
     d = su3_datum(q)
-    assert su3_fixed_points(d, d.ambient.identity())
+    assert d.is_fixed(d.ambient.identity())
     # a root group element with parameter outside F_q at a swapped node
     ext = d.ext
     outside = next(a for a in ext.units() if ext.frobenius(a) != a)
     u = d.ambient.root_group_element((0, 1, 0), outside)
-    assert not su3_fixed_points(d, u)
+    assert not d.is_fixed(u)
     # products of fixed elements stay fixed
     rng = random.Random(5)
     v1, _ = relative_root_group(d, 1)
@@ -42,7 +41,7 @@ def test_fixed_point_membership(q):
     pool = v1 + v0 + d.anisotropic_kernel_elements()
     for _ in range(200):
         g = rng.choice(pool) * rng.choice(pool)
-        assert su3_fixed_points(d, g)
+        assert d.is_fixed(g)
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinroot.errors import NotUnimodular, RankMismatch, UnknownFormat
-from twinroot.fields import GF, FqElement, gf_of_order
+from twinroot.fields import GF, gf_of_order
 from twinroot.laurent import LaurentMatrix, LaurentPoly, diagonal, elementary, matrix_from_json
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2)]
@@ -50,16 +50,6 @@ def test_trace_and_norm_land_in_subfield():
         assert len(f.trace_zero()) == p
 
 
-def test_fq_element_wrapper():
-    f = GF(3, 2)
-    x = f.element(5)
-    assert x.coeffs == (2, 1)
-    assert (x + (-x)).is_zero()
-    assert (x * x.inv()).value == 1
-    with pytest.raises(RankMismatch):
-        FqElement(f, 99)
-
-
 def test_poly_ring_ops():
     f = GF(3, 1)
     t = LaurentPoly.monomial(f, 1, 1)
@@ -91,14 +81,22 @@ def test_matrix_inverse_2x2_and_3x3(rng):
             i, j = rng.sample(range(n), 2)
             g = g * elementary(f, n, i, j, LaurentPoly.monomial(f, rng.randint(-1, 1), rng.randrange(1, q)))
         assert g.det().is_one()
-        assert g * g.inverse() == ident
-        assert g.inverse() * g == ident
+        # a unit determinant other than 1: a t^k
+        a_tk = LaurentPoly.monomial(f, rng.choice((-2, -1, 1, 2)), rng.randrange(1, q))
+        unit = (a_tk,) + (LaurentPoly.one(f),) * (n - 1)
+        for h in (g, g * diagonal(f, unit)):
+            assert h * h.inverse() == ident
+            assert h.inverse() * h == ident
+        with pytest.raises(NotUnimodular):
+            (g * diagonal(f, (LaurentPoly.of(f, {0: 1, 1: 1}),) + unit[1:])).inverse()
 
 
 def test_matrix_json_round_trip():
     f = GF(3, 2)
-    g = elementary(f, 3, 0, 2, LaurentPoly.of(f, {-1: 4, 2: 1}))
+    g = elementary(f, 3, 0, 2, LaurentPoly.of(f, {-1: 4, 2: 5}))
     assert matrix_from_json(f, g.to_json()) == g
+    # F_9 value 5 = c0 + 3 c1 is the element 2 + x: digits [2, 1]
+    assert g.to_json_obj()["entries"][0][2][1] == {"k": 2, "c": [2, 1]}
 
 
 @pytest.mark.parametrize(
