@@ -30,6 +30,34 @@ from .weyl import WeylElement
 AffineRoot = tuple[int, int, int]  # (i, j, level): I + r t^level E_ij
 
 
+class WordReps:
+    """Weyl word -> (rep, rep^-1), where rep is the product of the canonical
+    reflections s_hat(i) along the word (any word, reduced or not).
+
+    An entry is built from its prefix's entry and its last letter's, one
+    product per side, so each s_hat(i) is inverted once.  Root groups at
+    w(+-alpha_i) are w-conjugates of simple ones: conjugate(word, group)."""
+
+    def __init__(self, identity: LaurentMatrix, s_hat):
+        self._s_hat = s_hat  # node -> matrix
+        self._table = {(): (identity, identity)}
+
+    def __getitem__(self, word: tuple) -> tuple[LaurentMatrix, LaurentMatrix]:
+        if word not in self._table:
+            if len(word) == 1:
+                s = self._s_hat(word[0])
+                self._table[word] = (s, s.inverse())
+            else:
+                (rep, rep_inv), (s, s_inv) = self[word[:-1]], self[word[-1:]]
+                self._table[word] = (rep * s, s_inv * rep_inv)
+        return self._table[word]
+
+    def conjugate(self, word: tuple, group) -> list[LaurentMatrix]:
+        """[rep * u * rep^-1 for u in group], in the group's order."""
+        rep, rep_inv = self[word]
+        return [rep * u * rep_inv for u in group]
+
+
 _AFFINE_GCM = {
     2: validate_gcm([[2, -2], [-2, 2]]),
     3: validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]),
@@ -51,6 +79,7 @@ class LoopGroup:
             [(n - 1, 0, 1)] + [(m - 1, m, 0) for m in range(1, n)]
         )
         self._delta = tuple(1 for _ in range(n))
+        self.reps = WordReps(self.identity(), self._canonical_s)
 
     # --- root bookkeeping --------------------------------------------------
 
@@ -202,20 +231,13 @@ class LoopGroup:
         return self.mu_map(self.simple_roots[node], 1)
 
     @lru_cache(maxsize=None)
-    def _canonical_s_inv(self, node: int) -> LaurentMatrix:
-        return self._canonical_s(node).inverse()
-
-    @lru_cache(maxsize=None)
     def _probe_factor(self, node: int, r: int) -> LaurentMatrix:
         """s_node^-1 * x_node(-r), the left factor of bruhat_cell's probes."""
         minus = self.root_group_element(self.simple_roots[node], self.field.neg(r))
-        return self._canonical_s_inv(node) * minus
+        return self.reps[(node,)][1] * minus
 
     def canonical_representative(self, w: WeylElement) -> LaurentMatrix:
-        out = self.identity()
-        for i in w.word:
-            out = out * self._canonical_s(i)
-        return out
+        return self.reps[w.word][0]
 
     # --- flag-jump invariants -------------------------------------------------
     #
@@ -328,8 +350,7 @@ class LoopGroup:
         b1 = self.identity()
         prefix = prefix_inv = self.identity()
         for pos, i in enumerate(w.word):
-            s_i = self._canonical_s(i)
-            s_inv = self._canonical_s_inv(i)
+            s_i, s_inv = self.reps[(i,)]
             target = w.word[pos + 1 :]
             params = list(f.elements())
             if rng is not None:

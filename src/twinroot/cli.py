@@ -15,7 +15,7 @@ import sys
 from . import cone, gcm as gcmmod, roots as rootsmod, trd, weyl
 from .chevalley import loop_group
 from .descent import anisotropic_kernel, maximal_split_subgroup, relative_root_group, su3_datum
-from .errors import TwinrootError, UndecidedError
+from .errors import IndexOutOfRange, TwinrootError, UndecidedError
 from .laurent import matrix_from_json
 from .roots import RootVector
 from .trd import export_graph
@@ -227,8 +227,10 @@ def _dispatch_group(args):
         return 0
     G = _group_of(args)
     if args.subverb == "mu":
-        node = _csv_ints(args.alpha or "1")[0]
-        _emit(G._canonical_s(node).to_json())
+        nodes = _csv_ints("1" if args.alpha is None else args.alpha)
+        if len(nodes) != 1 or not 0 <= nodes[0] < G.n:
+            raise IndexOutOfRange(f"--alpha takes one node index in 0..{G.n - 1}, got {args.alpha!r}")
+        _emit(G._canonical_s(nodes[0]).to_json())
         return 0
     g = matrix_from_json(G.field, sys.stdin.read())
     if args.subverb == "bruhat":
@@ -254,14 +256,6 @@ def _su3_center_line(q):
 
 def _dispatch_trd(args):
     seed = _seed(args)
-    if args.subverb == "check":
-        if args.group == "su3":
-            orc = trd.su3_oracle(su3_datum(args.q))
-        else:
-            orc = trd.split_oracle(_group_of(args))
-        rep = trd.check_trd(orc, sample_budget=60, level_window=args.level_window, seed=seed)
-        _emit(rep.to_json())
-        return 0 if rep.passed else 1
     if args.subverb == "rsd":
         if args.group != "su3":
             raise TwinrootError("the CLI exposes the su3 center-line basis; use --group su3")
@@ -269,19 +263,18 @@ def _dispatch_trd(args):
         rep = trd.check_rsd(orc, basis, sample_budget=60, seed=seed)
         _emit(rep.to_json())
         return 0 if rep.passed else 1
-    if args.subverb == "twintree":
-        if args.group == "su3":
-            orc = trd.su3_oracle(su3_datum(args.q))
-        else:
-            orc = trd.split_oracle(_group_of(args))
-        graph = trd.building_ball(orc, +1, args.radius)
-        if args.format == "tsv":
-            rows = [[k, ".".join(map(str, c.word)) or "e"] for k, c in enumerate(graph.chambers)]
-            _emit(_tsv(rows))
-        else:
-            _emit(export_graph(graph, args.format))
-        return 0
-    raise TwinrootError(f"unknown trd subcommand {args.subverb}")
+    orc = trd.su3_oracle(su3_datum(args.q)) if args.group == "su3" else trd.split_oracle(_group_of(args))
+    if args.subverb == "check":
+        rep = trd.check_trd(orc, sample_budget=60, level_window=args.level_window, seed=seed)
+        _emit(rep.to_json())
+        return 0 if rep.passed else 1
+    graph = trd.building_ball(orc, +1, args.radius)  # twintree
+    if args.format == "tsv":
+        rows = [[k, ".".join(map(str, c.word)) or "e"] for k, c in enumerate(graph.chambers)]
+        _emit(_tsv(rows))
+    else:
+        _emit(export_graph(graph, args.format))
+    return 0
 
 
 def dispatch(argv) -> int:
@@ -303,7 +296,7 @@ def dispatch(argv) -> int:
     except TwinrootError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

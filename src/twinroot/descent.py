@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
-from .chevalley import LoopGroup, loop_group
+from .chevalley import LoopGroup, WordReps, loop_group
 from .errors import (
     BadRoot,
     NotUnimodular,
@@ -26,7 +26,6 @@ from .fields import GF, GaloisField
 from .gcm import AFFINE_A1, GeneralizedCartanMatrix
 from .laurent import LaurentMatrix, LaurentPoly, diagonal, elementary
 from .roots import root_witness
-from .weyl import WeylElement
 
 REL_GCM: GeneralizedCartanMatrix = AFFINE_A1  # infinite dihedral realization
 
@@ -47,8 +46,6 @@ class HermitianDescentDatum:
     ext: GaloisField = dc_field(compare=False)
     ambient: LoopGroup = dc_field(compare=False)
     form: LaurentMatrix = dc_field(compare=False)
-    # Weyl word -> (canonical representative, its inverse), filled by _witness
-    _reps: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def sigma(self, g: LaurentMatrix) -> LaurentMatrix:
         return self.form * g.bar().transpose().inverse() * self.form.inverse()
@@ -154,18 +151,12 @@ class HermitianDescentDatum:
     def canonical_s(self, node: int) -> LaurentMatrix:
         return self.s0 if node == 0 else self.s1
 
-    def canonical_representative(self, w: WeylElement) -> LaurentMatrix:
-        out = LaurentMatrix.identity(self.ext, 3)
-        for i in w.word:
-            out = out * self.canonical_s(i)
-        return out
+    @cached_property
+    def reps(self) -> WordReps:
+        """Canonical representatives of relative Weyl words, with inverses."""
+        return WordReps(LaurentMatrix.identity(self.ext, 3), self.canonical_s)
 
     # --- relative root groups -------------------------------------------------
-
-    @cached_property
-    def s_inv(self) -> tuple[LaurentMatrix, LaurentMatrix]:
-        """Inverses of the canonical reflection representatives, by node."""
-        return (self.s0.inverse(), self.s1.inverse())
 
     def simple_root_group(self, node: int, positive: bool = True):
         """All elements of the simple relative root group (finite)."""
@@ -176,7 +167,7 @@ class HermitianDescentDatum:
         ups = [self.unipotent_upper(c, b) for c, b in self.metabelian_parameters()]
         if positive:
             return ups
-        return [self.s1 * u * self.s_inv[1] for u in ups]
+        return self.reps.conjugate((1,), ups)
 
     def simple_root_group_center(self, node: int, positive: bool = True):
         e = self.ext
@@ -185,35 +176,27 @@ class HermitianDescentDatum:
         cent = [self.unipotent_upper(0, b) for b in e.trace_zero()]
         if positive:
             return cent
-        return [self.s1 * u * self.s_inv[1] for u in cent]
-
-    def _witness(self, vector):
-        """(node, sign, rep, rep^-1) with vector = w(sign * alpha_node) and rep
-        the canonical representative of w, formed and inverted once per word."""
-        w, node, sgn = root_witness(REL_GCM, tuple(vector))
-        if w.word not in self._reps:
-            rep = self.canonical_representative(w)
-            self._reps[w.word] = (rep, rep.inverse())
-        return (node, sgn, *self._reps[w.word])
+        return self.reps.conjugate((1,), cent)
 
     def root_group(self, vector) -> list[LaurentMatrix]:
         """Relative root group for any real root of the infinite dihedral
         system, by conjugating a simple one along a Weyl witness."""
-        node, sgn, rep, rep_inv = self._witness(vector)
-        return [rep * u * rep_inv for u in self.simple_root_group(node, sgn > 0)]
+        w, node, sgn = root_witness(REL_GCM, tuple(vector))
+        return self.reps.conjugate(w.word, self.simple_root_group(node, sgn > 0))
 
     def root_group_center(self, vector) -> list[LaurentMatrix]:
-        node, sgn, rep, rep_inv = self._witness(vector)
-        return [rep * u * rep_inv for u in self.simple_root_group_center(node, sgn > 0)]
+        w, node, sgn = root_witness(REL_GCM, tuple(vector))
+        return self.reps.conjugate(w.word, self.simple_root_group_center(node, sgn > 0))
 
     def mu_for(self, vector, u: LaurentMatrix) -> LaurentMatrix:
         """mu-map of a nontrivial element of the root group at `vector`."""
-        node, sgn, rep, rep_inv = self._witness(vector)
+        w, node, sgn = root_witness(REL_GCM, tuple(vector))
+        rep, rep_inv = self.reps[w.word]
         u0 = rep_inv * u * rep
         if sgn > 0:
             m0 = self._mu_simple(node, u0)
         else:
-            s, s_inv = self.canonical_s(node), self.s_inv[node]
+            s, s_inv = self.reps[(node,)]
             m0 = s_inv * self._mu_simple(node, s * u0 * s_inv) * s
         return rep * m0 * rep_inv
 

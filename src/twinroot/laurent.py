@@ -281,8 +281,12 @@ def matrix_from_json(field: GaloisField, data) -> LaurentMatrix:
                 isinstance(term, dict) and _is_int(term.get("k")) for term in poly
             ):
                 raise UnknownFormat(f"entry {poly!r} is not a list of {{k: int, c: digits}} terms")
+            if len({term["k"] for term in poly}) != len(poly):
+                raise UnknownFormat(f"entry {poly!r} repeats an exponent")
             acc = {}
             for term in poly:
+                if "c" not in term:
+                    raise UnknownFormat(f"term {term!r} has no digits \"c\"")
                 coeffs = term["c"]
                 if not isinstance(coeffs, list) or not 1 <= len(coeffs) <= field.e or any(
                     not _is_int(c) or not 0 <= c < field.p for c in coeffs

@@ -20,6 +20,7 @@ from . import weyl
 from .errors import (
     BadRoot,
     ExplosionGuard,
+    IndexOutOfRange,
     NotNilpotentSet,
     NotPrenilpotent,
     NotSpherical,
@@ -61,6 +62,8 @@ def is_positive(alpha: RootVector) -> bool:
 
 
 def simple_root(A: GeneralizedCartanMatrix, i: int) -> RootVector:
+    if not 0 <= i < A.n:
+        raise IndexOutOfRange(f"simple root index {i} outside 0..{A.n - 1}")
     return RootVector(tuple(1 if k == i else 0 for k in range(A.n)))
 
 

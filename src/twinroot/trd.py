@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 
 from . import roots as rootsmod
 from . import weyl
-from .chevalley import LoopGroup
+from .chevalley import LoopGroup, WordReps
 from .descent import REL_GCM, HermitianDescentDatum
 from .errors import (
     NotInGeneratedGroup,
@@ -38,16 +39,16 @@ class GroupOracle:
     name: str
     gcm: GeneralizedCartanMatrix
     identity: LaurentMatrix
-    mul: object
-    inv: object
     is_torus: object
     in_borel: object  # (sign, g) -> bool
     root_group_elements: object  # vector -> list incl. identity
     mu: object  # (vector, u) -> matrix
     canonical_s: object  # node -> matrix
     birkhoff: object  # g -> WeylElement over gcm
-    level_of_root: object  # vector -> int
     bruhat_key: object  # g -> hashable, constant on g B_+
+    # fields, not methods, so a caller can count or wrap them via dataclasses.replace
+    mul: object = operator.mul
+    inv: object = LaurentMatrix.inverse
 
     def simple_vector(self, i: int):
         return tuple(1 if k == i else 0 for k in range(self.gcm.n))
@@ -60,7 +61,8 @@ class GroupOracle:
             length = 2 * level_window + 2
         out = []
         for r in rootsmod.enumerate_real_roots(self.gcm, length):
-            if abs(self.level_of_root(r.coords)) <= level_window:
+            # node 0 is the affine node of every oracle's GCM: v[0] is the level
+            if abs(r.coords[0]) <= level_window:
                 out.append(r.coords)
         return out
 
@@ -81,15 +83,12 @@ def split_oracle(group: LoopGroup, name: str = None) -> GroupOracle:
         name=name or f"sl{group.n}(F{group.field.q}[t,t^-1])",
         gcm=group.gcm,
         identity=group.identity(),
-        mul=lambda a, b: a * b,
-        inv=lambda a: a.inverse(),
         is_torus=group.is_torus,
         in_borel=group.in_borel,
         root_group_elements=root_elems,
         mu=mu,
         canonical_s=group._canonical_s,
         birkhoff=group.birkhoff_cell,
-        level_of_root=lambda v: v[0],
         bruhat_key=lambda g: group.bruhat_weyl(g).word,
     )
 
@@ -101,15 +100,12 @@ def su3_oracle(d: HermitianDescentDatum) -> GroupOracle:
         name=f"su3(F{d.q}[t,t^-1])",
         gcm=REL_GCM,
         identity=amb.identity(),
-        mul=lambda a, b: a * b,
-        inv=lambda a: a.inverse(),
         is_torus=d.is_torus,
         in_borel=d.in_borel,
         root_group_elements=d.root_group,
         mu=d.mu_for,
         canonical_s=d.canonical_s,
         birkhoff=lambda g: fold_to_relative(d, amb.birkhoff_cell(g)),
-        level_of_root=lambda v: v[0],
         bruhat_key=lambda g: amb.bruhat_weyl(g).word,
     )
 
@@ -273,7 +269,7 @@ def check_trd(
             rng.shuffle(betas)
             for beta in betas[: max(1, sample_budget // (2 * A.n))]:
                 target = weyl.mat_vec(s_mat, beta)
-                if abs(oracle.level_of_root(target)) > level_window + 2:
+                if abs(target[0]) > level_window + 2:  # the level, as in windowed_roots
                     continue
                 image = {
                     oracle.mul(oracle.mul(m, u), m_inv)
@@ -322,6 +318,13 @@ class RsdBasis:
     def nontrivial(self, oracle: GroupOracle, node: int):
         return [u for u in self.e_groups[node] if u != oracle.identity]
 
+    def reflections(self, oracle: GroupOracle) -> dict:
+        """node -> s_hat(node) = m(v0), v0 the first nontrivial element of E_node."""
+        return {
+            node: oracle.mu(oracle.simple_vector(node), self.nontrivial(oracle, node)[0])
+            for node in range(oracle.gcm.n)
+        }
+
 
 def check_rsd(
     oracle: GroupOracle,
@@ -358,10 +361,7 @@ def check_rsd(
         return report
 
     cox = weyl.coxeter_matrix(A)
-    s_elt = {}
-    for node in range(A.n):
-        v0 = basis.nontrivial(oracle, node)[0]
-        s_elt[node] = oracle.mu(oracle.simple_vector(node), v0)
+    reps = WordReps(oracle.identity, basis.reflections(oracle).__getitem__)
 
     def rsd1():
         checked = 0
@@ -370,11 +370,8 @@ def check_rsd(
                 m = cox.m[i][j]
                 if m == weyl.INF:
                     continue
-                prod = oracle.identity
-                for _ in range(int(m)):
-                    prod = oracle.mul(prod, oracle.mul(s_elt[i], s_elt[j]))
                 checked += 1
-                if not basis.is_torus(prod):
+                if not basis.is_torus(reps[(i, j) * int(m)][0]):
                     return False, checked, f"(s_{i} s_{j})^{int(m)} not in T_d"
         return True, checked, None
 
@@ -402,8 +399,7 @@ def check_rsd(
                     checked += 1
                     if oracle.mul(oracle.mul(tau, e), tau_inv) not in e_set:
                         return False, checked, f"T_d does not normalize E_{node}"
-            s = s_elt[node]
-            s_inv = oracle.inv(s)
+            s, s_inv = reps[(node,)]
             for tau in basis.torus_elements:
                 checked += 1
                 if not basis.is_torus(oracle.mul(oracle.mul(s, tau), s_inv)):
@@ -415,8 +411,7 @@ def check_rsd(
         for node in range(A.n):
             alpha = oracle.simple_vector(node)
             elems = basis.nontrivial(oracle, node)
-            s = s_elt[node]
-            s_inv = oracle.inv(s)
+            s, s_inv = reps[(node,)]
             for v in elems:
                 m = oracle.mu(alpha, v)
                 found = False
@@ -523,30 +518,16 @@ class IntegratedSubgroup:
         self.basis = basis
         self.name = name or f"F<{basis.name}>"
         self._birkhoff = birkhoff or oracle.birkhoff
-        self.s_hat = {}
-        for node in range(oracle.gcm.n):
-            v0 = basis.nontrivial(oracle, node)[0]
-            self.s_hat[node] = oracle.mu(oracle.simple_vector(node), v0)
+        self.s_hat = basis.reflections(oracle)
+        self.reps = WordReps(oracle.identity, self.s_hat.__getitem__)
         self._neg_step = {}
 
-    # -- Weyl representatives ------------------------------------------------
-
-    def rep(self, w: WeylElement) -> LaurentMatrix:
-        out = self.ambient.identity
-        for i in w.word:
-            out = self.ambient.mul(out, self.s_hat[i])
-        return out
-
     def root_group_elements(self, vector):
+        """F_gamma for gamma = w(sign alpha_i): E_i conjugated along w, and
+        along w s_i when the sign is negative."""
         w, node, sgn = rootsmod.root_witness(self.ambient.gcm, tuple(vector))
-        base = list(self.basis.e_groups[node])
-        if sgn < 0:
-            s = self.s_hat[node]
-            s_inv = self.ambient.inv(s)
-            base = [self.ambient.mul(self.ambient.mul(s, u), s_inv) for u in base]
-        r = self.rep(w)
-        r_inv = self.ambient.inv(r)
-        return [self.ambient.mul(self.ambient.mul(r, u), r_inv) for u in base]
+        word = w.word if sgn > 0 else w.word + (node,)
+        return self.reps.conjugate(word, self.basis.e_groups[node])
 
     def oracle(self) -> GroupOracle:
         amb = self.ambient
@@ -554,15 +535,12 @@ class IntegratedSubgroup:
             name=self.name,
             gcm=amb.gcm,
             identity=amb.identity,
-            mul=amb.mul,
-            inv=amb.inv,
             is_torus=self.basis.is_torus,
             in_borel=amb.in_borel,
             root_group_elements=self.root_group_elements,
             mu=amb.mu,
-            canonical_s=lambda node: self.s_hat[node],
+            canonical_s=self.s_hat.__getitem__,
             birkhoff=self._birkhoff,
-            level_of_root=amb.level_of_root,
             bruhat_key=amb.bruhat_key,
         )
 
@@ -574,8 +552,7 @@ class IntegratedSubgroup:
         if node in self._neg_step:
             return self._neg_step[node]
         amb = self.ambient
-        s = self.s_hat[node]
-        s_inv = amb.inv(s)
+        s, s_inv = self.reps[(node,)]
         table = {}
         elems = self.basis.nontrivial(amb, node)
         for e in elems:
@@ -598,8 +575,7 @@ class IntegratedSubgroup:
     def _split_v(self, v2, node):
         """v2 = e * v' with e in E_alpha and v' in the complement E_alpha'."""
         amb = self.ambient
-        s = self.s_hat[node]
-        s_inv = amb.inv(s)
+        s, s_inv = self.reps[(node,)]
         hits = []
         for e in self.basis.e_groups[node]:
             vp = amb.mul(amb.inv(e), v2)
@@ -635,8 +611,8 @@ class IntegratedSubgroup:
             elif tok[0] == "e-":
                 node, x = tok[1], tok[2]
                 total = amb.mul(total, x)
-                s = self.s_hat[node]
-                e = amb.mul(amb.mul(amb.inv(s), x), s)
+                s, s_inv = self.reps[(node,)]
+                e = amb.mul(amb.mul(s_inv, x), s)
                 s2 = amb.mul(s, s)
                 if not self.basis.is_torus(s2):
                     raise RsdViolation(f"s_{node}^2 is not in T_d")
@@ -658,14 +634,10 @@ class IntegratedSubgroup:
                 v2 = amb.mul(amb.mul(amb.inv(tau), v2), tau)
             else:
                 node = tok[1]
-                s = self.s_hat[node]
-                s_inv = amb.inv(s)
+                s, s_inv = self.reps[(node,)]
                 e, vp = self._split_v(v2, node)
                 v_pp = amb.mul(amb.mul(s_inv, vp), s)
-                alpha = tuple(
-                    1 if k == node else 0 for k in range(amb.gcm.n)
-                )
-                if weyl.root_sign(w.apply(alpha)) > 0:
+                if weyl.root_sign(w.apply(amb.simple_vector(node))) > 0:
                     conj = amb.mul(amb.mul(m_hat, e), amb.inv(m_hat))
                     v1 = amb.mul(v1, conj)
                     m_hat = amb.mul(m_hat, s)
@@ -773,6 +745,7 @@ def building_ball(oracle: GroupOracle, sign: int, radius: int) -> ChamberGraph:
       raises OracleInconsistent.
     """
     key = oracle.bruhat_key
+    reps = WordReps(oracle.identity, oracle.canonical_s)
     moves = {}
     for node in range(oracle.gcm.n):
         vector = tuple(sign * x for x in oracle.simple_vector(node))
@@ -783,17 +756,16 @@ def building_ball(oracle: GroupOracle, sign: int, radius: int) -> ChamberGraph:
     chambers = [TwinChamber(sign, (), (), ident)]
     by_word = {(): [0]}  # ShortLex word -> indices of the chambers it names
     base_key = key(ident)
-    cells = {(): (ident, base_key)}  # gallery word -> (s_hat product, its key)
+    cells = {(): base_key}  # gallery word -> key of its s_hat product
     words_by_cell = {base_key: ()}
 
     def cell_of(word):
         if word not in cells:
-            rep = oracle.mul(cells[word[:-1]][0], oracle.canonical_s(word[-1]))
-            k = key(rep)
+            k = key(reps[word][0])
             if words_by_cell.setdefault(k, word) != word:
                 raise OracleInconsistent(f"gallery words {words_by_cell[k]} and {word} share the coset key {k}")
-            cells[word] = (rep, k)
-        return cells[word][1]
+            cells[word] = k
+        return cells[word]
 
     shortlex = functools.cache(lambda word: weyl.from_word(oracle.gcm, word).word)
     edge_set = set()

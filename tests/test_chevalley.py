@@ -208,7 +208,7 @@ def uncached_bruhat_cell(G, g, rng=None):
     rest, b1 = g, G.identity()
     prefix = prefix_inv = G.identity()
     for pos, i in enumerate(w.word):
-        s_inv = G._canonical_s_inv(i)
+        s_inv = G._canonical_s(i).inverse()
         params = list(f.elements())
         if rng is not None:
             rng.shuffle(params)

@@ -232,10 +232,15 @@ def _identity_json(n):
         ("bruhat", "sl3", _identity_json(2)),
         ("bruhat", "sl2", '{"n": true, "entries": [[[{"k": 0, "c": [1]}]]]}'),
         ("bruhat", "sl2", '{"n": 2, "entries": [[[{"k": true, "c": [1]}], []], [[], [{"k": -1, "c": [1]}]]]}'),
+        # 1 + 1 = 0 over F_2: a repeated exponent is rejected, not read as its last term
+        ("bruhat", "sl2",
+         '{"n": 2, "entries": [[[{"k": 0, "c": [1]}, {"k": 0, "c": [1]}], []], [[], [{"k": 0, "c": [1]}]]]}'),
+        ("bruhat", "sl2", '{"n": 2, "entries": [[[{"k": 0}], []], [[], [{"k": 0, "c": [1]}]]]}'),
     ],
     ids=[
         "coefficient_not_a_list", "term_not_an_object", "exponent_not_an_int", "row_not_a_list", "not_an_object",
-        "3x3_for_sl2", "2x2_for_sl3", "size_is_a_bool", "exponent_is_a_bool",
+        "3x3_for_sl2", "2x2_for_sl3", "size_is_a_bool", "exponent_is_a_bool", "repeated_exponent",
+        "term_without_digits",
     ],
 )
 def test_group_bruhat_malformed_matrices_are_typed_errors(verb, group, text, capsys, monkeypatch):
@@ -267,6 +272,25 @@ def test_roots_commands_reject_non_real_vectors(a, alpha, capsys, tmp_path):
         assert code == 1 and out == ""
         lines = [ln for ln in err.splitlines() if not ln.startswith("# twinroot ")]
         assert lines == [f"error: ({alpha.replace(',', ', ')}) is not a real root"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["group", "mu", "--group", "sl2", "--alpha", "5"], "error: --alpha takes one node index in 0..1, got '5'"),
+        (["group", "mu", "--group", "sl2", "--alpha", "-1"], "error: --alpha takes one node index in 0..1, got '-1'"),
+        (["group", "mu", "--group", "sl3", "--alpha", "1,2"], "error: --alpha takes one node index in 0..2, got '1,2'"),
+        (["group", "mu", "--group", "sl3", "--alpha", ""], "error: --alpha takes one node index in 0..2, got ''"),
+        (["roots", "positive", "--alpha", "7"], "error: simple root index 7 outside 0..1"),
+        (["roots", "prenilpotent", "--alpha", "0", "--beta", "-1"], "error: simple root index -1 outside 0..1"),
+    ],
+    ids=["mu_past_the_last_node", "mu_negative_node", "mu_two_nodes", "mu_no_node", "positive_past_the_rank",
+         "negative_beta"],
+)
+def test_index_arguments_out_of_range(argv, message, a2_path, capsys):
+    code, out, err = run([*argv, "--gcm", a2_path], capsys)
+    lines = [ln for ln in err.splitlines() if not ln.startswith("# twinroot ")]
+    assert code == 1 and out == "" and lines == [message]
 
 
 def _run_fresh(argv):
@@ -402,6 +426,10 @@ def _bad_matrix_call(draw):
 
 @settings(max_examples=100, deadline=None)
 @example((["group", "bruhat", "--group", "sl2", "--q", "2"], '{"n": 2, "entries": [["\\n", []], [[], []]]}'))
+@example((["group", "bruhat", "--group", "sl2", "--q", "2"],
+          '{"n": 2, "entries": [[[{"k": 0, "c": [1]}, {"k": 0, "c": [1]}], []], [[], [{"k": 0, "c": [1]}]]]}'))
+@example((["group", "birkhoff", "--group", "sl2", "--q", "2"],
+          '{"n": 2, "entries": [[[{"k": 0}], []], [[], [{"k": 0, "c": [1]}]]]}'))
 @given(_bad_matrix_call())
 def test_cli_rejects_malformed_matrix_json(call):
     argv, text = call

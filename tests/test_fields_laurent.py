@@ -106,8 +106,10 @@ def test_matrix_json_round_trip():
         ('[[[{"k": 0, "c": [2]}], []], [[], [{"k": 0, "c": [1]}]]]', UnknownFormat),
         ('[[[{"k": 0, "c": [1]}], []]]', RankMismatch),
         ('[[[{"k": 0, "c": [1]}]], [[], [{"k": 0, "c": [1]}]]]', RankMismatch),
+        ('[[[{"k": 0, "c": [1]}, {"k": 0, "c": [1]}], []], [[], [{"k": 0, "c": [1]}]]]', UnknownFormat),
+        ('[[[{"k": 0}], []], [[], [{"k": 0, "c": [1]}]]]', UnknownFormat),
     ],
-    ids=["too-many-digits", "digit-out-of-range", "missing-row", "short-row"],
+    ids=["too-many-digits", "digit-out-of-range", "missing-row", "short-row", "repeated-exponent", "no-digits"],
 )
 def test_matrix_json_rejects_malformed_entries(entries, error):
     with pytest.raises(error):

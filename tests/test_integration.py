@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -297,3 +298,64 @@ def test_fold_to_relative_consistency():
     for word in ((1,), (1, 0)):
         with pytest.raises(OracleInconsistent):
             fold_to_relative(d, weyl.from_word(amb.gcm, word))
+
+
+# --- Weyl-word representatives ------------------------------------------------------
+
+
+def plain_product(identity, s_hat, word):
+    out = identity
+    for i in word:
+        out = out * s_hat(i)
+    return out
+
+
+def _word_reps_cases():
+    d, F, orc, basis, integ = center_line_setup(2)
+    G2, G3 = loop_group(3, 2), loop_group(2, 3)
+    return {
+        "sl2-f3": (G2.reps, G2._canonical_s, G2.identity(), 2),
+        "sl3-f2": (G3.reps, G3._canonical_s, G3.identity(), 3),
+        "su3-f2": (d.reps, d.canonical_s, orc.identity, 2),
+        "split-f2": (integ.reps, integ.s_hat.__getitem__, orc.identity, 2),
+    }
+
+
+@pytest.mark.parametrize("case", ["sl2-f3", "sl3-f2", "su3-f2", "split-f2"])
+def test_word_reps_match_plain_products(case):
+    reps, s_hat, identity, n = _word_reps_cases()[case]
+    for length in range(5):
+        for word in itertools.product(range(n), repeat=length):  # reduced or not
+            rep, rep_inv = reps[word]
+            assert rep == plain_product(identity, s_hat, word), word
+            assert rep * rep_inv == identity, word
+
+
+def test_root_group_lists_match_the_conjugation_loop():
+    """Every window root group, as an ordered list (the order feeds ball
+    parameters and check_trd sampling), against conjugation by a fresh
+    product and its inverse."""
+    d, F, orc, basis, integ = center_line_setup(2)
+
+    def conjugated(s_hat, word, group):
+        rep = plain_product(orc.identity, s_hat, word)
+        rep_inv = rep.inverse()
+        return [rep * u * rep_inv for u in group]
+
+    def simple(node, positive, center):
+        if node == 0:
+            return [d.affine_node_element(r, 1 if positive else -1) for r in d.ext.trace_zero()]
+        if center:
+            ups = [d.unipotent_upper(0, b) for b in d.ext.trace_zero()]
+        else:
+            ups = [d.unipotent_upper(c, b) for c, b in d.metabelian_parameters()]
+        return ups if positive else conjugated(d.canonical_s, (1,), ups)
+
+    for v in orc.windowed_roots(2):
+        w, node, sgn = rootsmod.root_witness(AFFINE_A1, v)
+        assert d.root_group(v) == conjugated(d.canonical_s, w.word, simple(node, sgn > 0, False)), v
+        assert d.root_group_center(v) == conjugated(d.canonical_s, w.word, simple(node, sgn > 0, True)), v
+        base = basis.e_groups[node]
+        if sgn < 0:
+            base = conjugated(integ.s_hat.__getitem__, (node,), base)
+        assert integ.root_group_elements(v) == conjugated(integ.s_hat.__getitem__, w.word, base), v

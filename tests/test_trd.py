@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -575,3 +575,9 @@ def test_building_ball_on_rewired_sl3_root_groups():
             else:
                 assert ball.to_json() == good[sign], (src, dst, sign)
     assert misses
+
+
+def test_group_oracle_keeps_the_fields_callers_replace():
+    # the benchmark's tracer and the fault-injection tests swap these with dataclasses.replace
+    names = {f.name for f in fields(trd.GroupOracle)}
+    assert {"mul", "in_borel", "root_group_elements", "is_torus", "bruhat_key"} <= names
