@@ -5,12 +5,7 @@ Run: python3 demos/06_unitary_twin_tree.py
 """
 
 from twinroot import trd
-from twinroot.descent import (
-    anisotropic_kernel,
-    maximal_split_subgroup,
-    relative_root_group,
-    su3_datum,
-)
+from twinroot.descent import anisotropic_kernel, relative_root_group, su3_datum
 
 q = 2
 d = su3_datum(q)
@@ -32,16 +27,9 @@ print("panel sizes:", ball.panel_sizes, f" (expected 1+q = {1+q} and 1+q^3 = {1+
 
 print()
 print("== the maximal split subgroup: a regular twin tree inside ==")
-F = maximal_split_subgroup(d)
-basis = trd.RsdBasis(
-    "center-line",
-    F.split_torus_elements(),
-    lambda g: d.ambient.is_torus(g) and F.contains(g),
-    {0: d.simple_root_group_center(0), 1: d.simple_root_group_center(1)},
-)
+basis = trd.center_line_basis(d)
 print("root subdatum axioms:", "pass" if trd.check_rsd(orc, basis).passed else "fail")
-sl2 = F.sl2
-integ = trd.integrate_subdatum(orc, basis, birkhoff=lambda g: sl2.birkhoff_cell(F.to_sl2(g)))
+integ = trd.integrate_subdatum(orc, basis)
 fball = trd.building_ball(integ.oracle(), +1, 2)
 print(f"split subgroup ball: {len(fball.chambers)} chambers, panels {fball.panel_sizes}")
 

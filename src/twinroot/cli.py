@@ -14,8 +14,8 @@ import sys
 
 from . import cone, gcm as gcmmod, roots as rootsmod, trd, weyl
 from .chevalley import loop_group
-from .descent import anisotropic_kernel, maximal_split_subgroup, relative_root_group, su3_datum
-from .errors import IndexOutOfRange, TwinrootError, UndecidedError
+from .descent import anisotropic_kernel, relative_root_group, su3_datum
+from .errors import IndexOutOfRange, TwinrootError, UndecidedError, UnknownFormat
 from .laurent import matrix_from_json
 from .roots import RootVector
 from .trd import export_graph
@@ -74,12 +74,19 @@ def _load_gcm(args) -> gcmmod.GeneralizedCartanMatrix:
 
 
 def _csv_ints(text):
-    return tuple(int(x) for x in text.split(",") if x != "")
+    """Comma-separated integers; no text (None or "") is the empty tuple, and
+    an empty field in any other text is an error."""
+    if not text:
+        return ()
+    fields = text.split(",")
+    if "" in fields:
+        raise UnknownFormat(f"empty field in the comma-separated list {text!r}")
+    return tuple(int(x) for x in fields)
 
 
 def _root_arg(A, text) -> RootVector:
     """A simple-root index or CSV coordinates; BadRoot unless a real root."""
-    if text is None:
+    if not text:
         raise TwinrootError("--alpha and --beta take a simple-root index or CSV coordinates")
     vals = _csv_ints(text)
     root = rootsmod.simple_root(A, vals[0]) if len(vals) == 1 else RootVector(vals)
@@ -141,10 +148,10 @@ def _dispatch_weyl(args):
         else:
             _emit(_json([[_inf_json(x) for x in row] for row in m]))
     elif args.subverb == "length":
-        w = weyl.from_word(A, _csv_ints(args.word or ""))
+        w = weyl.from_word(A, _csv_ints(args.word))
         _emit(str(w.length))
     elif args.subverb == "reduced":
-        _emit(_json(weyl.is_reduced(A, _csv_ints(args.word or ""))))
+        _emit(_json(weyl.is_reduced(A, _csv_ints(args.word))))
     elif args.subverb == "ball":
         ball = weyl.enumerate_ball(A, args.radius)
         if args.format == "tsv":
@@ -194,7 +201,7 @@ def _dispatch_cone(args):
         }
         _emit(_json(out))
     elif args.subverb == "fixed":
-        s0 = _csv_ints(args.alpha) if args.alpha else ()
+        s0 = _csv_ints(args.alpha)
         basis = cone.fixed_subspace(A, [_perm_arg(args, A)], s0)
         _emit(_json([f.to_json_obj() for f in basis]))
     return 0
@@ -241,26 +248,13 @@ def _dispatch_group(args):
     return 0
 
 
-def _su3_center_line(q):
-    d = su3_datum(q)
-    F = maximal_split_subgroup(d)
-    orc = trd.su3_oracle(d)
-    basis = trd.RsdBasis(
-        "center-line",
-        F.split_torus_elements(),
-        lambda g: d.ambient.is_torus(g) and F.contains(g),
-        {0: d.simple_root_group_center(0), 1: d.simple_root_group_center(1)},
-    )
-    return d, F, orc, basis
-
-
 def _dispatch_trd(args):
     seed = _seed(args)
     if args.subverb == "rsd":
         if args.group != "su3":
             raise TwinrootError("the CLI exposes the su3 center-line basis; use --group su3")
-        _, _, orc, basis = _su3_center_line(args.q)
-        rep = trd.check_rsd(orc, basis, sample_budget=60, seed=seed)
+        d = su3_datum(args.q)
+        rep = trd.check_rsd(trd.su3_oracle(d), trd.center_line_basis(d), sample_budget=60, seed=seed)
         _emit(rep.to_json())
         return 0 if rep.passed else 1
     orc = trd.su3_oracle(su3_datum(args.q)) if args.group == "su3" else trd.split_oracle(_group_of(args))

@@ -4,12 +4,14 @@ Points of the dual space V* are stored by their exact rational values on the
 basis e_0..e_{n-1}.  Diagram automorphisms fold the Coxeter system to the
 relative one: orbit generators are longest elements of the orbit parabolics,
 and folded orders are computed from the action on the fixed subspace L.
+`fold_word` reads an element of the folded subgroup of W as a relative word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import weyl
 from .errors import (
@@ -17,6 +19,7 @@ from .errors import (
     NotClosedUnderComposition,
     NotInFundamentalChamber,
     NotSpherical,
+    OracleInconsistent,
     OrbitNotSpherical,
     RankMismatch,
 )
@@ -168,6 +171,40 @@ def orbit_longest_element(A: GeneralizedCartanMatrix, orbit) -> WeylElement:
     except NotSpherical as exc:
         raise OrbitNotSpherical(f"orbit {orbit} spans a non-spherical subdiagram") from exc
     return weyl.from_word(A, _embed_word(tuple(orbit), w0.word))
+
+
+@lru_cache(maxsize=None)
+def _orbit_images(A: GeneralizedCartanMatrix, orbits) -> tuple:
+    """(letters, ShortLex word of the longest element) per orbit, built once."""
+    return tuple((frozenset(o), orbit_longest_element(A, o).word) for o in orbits)
+
+
+def fold_word(A: GeneralizedCartanMatrix, orbits, w: WeylElement) -> tuple[int, ...]:
+    """The relative word (indices into orbits, a tuple of tuples as `orbits`
+    returns) whose image in W is w.
+
+    Peels the image of the first orbit whose letters are all left descents
+    off the left, read as the negative coordinates of x = w.rho_vee as in
+    weyl.descend; the image of a relative word is reached by such peelings
+    alone, so OracleInconsistent is raised when none applies before the
+    identity.
+    """
+    images = _orbit_images(A, orbits)
+    a = A.a
+    x = tuple(map(sum, zip(*w.inv)))
+    peeled = []
+    while True:
+        descents = {i for i, c in enumerate(x) if c < 0}
+        if not descents:
+            return tuple(peeled)
+        for k, (letters, word) in enumerate(images):
+            if letters <= descents:
+                break
+        else:
+            raise OracleInconsistent(f"ambient element {w.word} is not in the image of the relative Weyl group")
+        peeled.append(k)
+        for i in word:
+            x = weyl._reflect(a, x, i)
 
 
 def _restrict_to_subspace(w: WeylElement, basis: list[CoFunctional]):

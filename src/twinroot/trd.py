@@ -15,10 +15,10 @@ import operator
 import random
 from dataclasses import dataclass, field as dc_field
 
+from . import cone, weyl
 from . import roots as rootsmod
-from . import weyl
 from .chevalley import LoopGroup, WordReps
-from .descent import REL_GCM, HermitianDescentDatum
+from .descent import REL_GCM, REL_ORBITS, HermitianDescentDatum, maximal_split_subgroup
 from .errors import (
     NotInGeneratedGroup,
     OracleInconsistent,
@@ -96,6 +96,9 @@ def split_oracle(group: LoopGroup, name: str = None) -> GroupOracle:
 def su3_oracle(d: HermitianDescentDatum) -> GroupOracle:
     amb = d.ambient
 
+    def birkhoff(g):
+        return weyl.from_word(REL_GCM, cone.fold_word(amb.gcm, REL_ORBITS, amb.birkhoff_cell(g)))
+
     return GroupOracle(
         name=f"su3(F{d.q}[t,t^-1])",
         gcm=REL_GCM,
@@ -105,40 +108,9 @@ def su3_oracle(d: HermitianDescentDatum) -> GroupOracle:
         root_group_elements=d.root_group,
         mu=d.mu_for,
         canonical_s=d.canonical_s,
-        birkhoff=lambda g: fold_to_relative(d, amb.birkhoff_cell(g)),
+        birkhoff=birkhoff,
         bruhat_key=lambda g: amb.bruhat_weyl(g).word,
     )
-
-
-# relative generator images inside the ambient affine A2 Weyl group:
-# node 0 -> s0, node 1 -> s1 s2 s1 (longest element of the folded pair)
-_REL_IMAGE_WORDS = {0: (0,), 1: (1, 2, 1)}
-
-
-def fold_to_relative(d: HermitianDescentDatum, ambient_w: WeylElement) -> WeylElement:
-    """The relative element whose image is ambient_w.
-
-    Peels the image word of a relative generator off the left whenever all
-    its letters are left descents, read as the negative coordinates of
-    x = w.rho_vee as in weyl.descend; the image of a relative word is reached
-    by such peelings alone, so OracleInconsistent is raised when none
-    applies before the identity.
-    """
-    a = ambient_w.gcm.a
-    x = tuple(map(sum, zip(*ambient_w.inv)))
-    peeled = []
-    while True:
-        descents = {i for i, c in enumerate(x) if c < 0}
-        if not descents:
-            return weyl.from_word(REL_GCM, peeled)
-        node = next((k for k, word in _REL_IMAGE_WORDS.items() if descents.issuperset(word)), None)
-        if node is None:
-            raise OracleInconsistent(
-                f"ambient element {ambient_w.word} is not in the image of the relative Weyl group"
-            )
-        peeled.append(node)
-        for i in _REL_IMAGE_WORDS[node]:
-            x = weyl._reflect(a, x, i)
 
 
 # --- reports -------------------------------------------------------------------
@@ -326,6 +298,18 @@ class RsdBasis:
         }
 
 
+def center_line_basis(d: HermitianDescentDatum) -> RsdBasis:
+    """The maximal split subgroup's basis in SU3: the split torus and the
+    centers of the two simple relative root groups."""
+    F = maximal_split_subgroup(d)
+    return RsdBasis(
+        "center-line",
+        F.split_torus_elements(),
+        lambda g: d.ambient.is_torus(g) and F.contains(g),
+        {0: d.simple_root_group_center(0), 1: d.simple_root_group_center(1)},
+    )
+
+
 def check_rsd(
     oracle: GroupOracle,
     basis: RsdBasis,
@@ -511,7 +495,8 @@ def _subgroup_closure(oracle, basis, gens, universe):
 
 class IntegratedSubgroup:
     """F = <T_d, (E_alpha)> with VwV normal forms and its own root groups
-    F_gamma = w-conjugates of the basis groups."""
+    F_gamma = w-conjugates of the basis groups.  Codistances are the ambient
+    oracle's unless `birkhoff` replaces them (see integrate_subdatum)."""
 
     def __init__(self, oracle: GroupOracle, basis: RsdBasis, birkhoff=None, name=None):
         self.ambient = oracle
@@ -662,6 +647,13 @@ class IntegratedSubgroup:
 
 
 def integrate_subdatum(oracle: GroupOracle, basis: RsdBasis, birkhoff=None, name=None):
+    """The subgroup integrated from an RSD basis.
+
+    `birkhoff`, a replacement for the ambient codistance map, has one
+    caller, bench/wl_twin.py, and gives the same codistances as the ambient
+    map on the center-line and subfield bases (tests/test_integration.py);
+    it can go when that benchmark file next changes.
+    """
     return IntegratedSubgroup(oracle, basis, birkhoff=birkhoff, name=name)
 
 

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from twinroot import gcm
+from twinroot import gcm, trd
+from twinroot.chevalley import loop_group
+from twinroot.laurent import LaurentMatrix, LaurentPoly, diagonal
 
 TEST_GCMS = {
     "A2": gcm.A2,
@@ -13,6 +15,33 @@ TEST_GCMS = {
 }
 
 FINITE_GCMS = {k: TEST_GCMS[k] for k in ("A2", "B2", "G2")}
+
+
+def subfield_basis():
+    """SL_2(F_9) and the RSD basis of its F_3 points: the F_3 torus and the
+    F_3 lines of the two simple root groups."""
+    G9 = loop_group(9, 2)
+    f9 = G9.field
+    sub = [a for a in f9.elements() if f9.frobenius(a) == a]
+
+    def torus_test(g):
+        return G9.is_torus(g) and all(f9.frobenius(v) == v for i in range(2) for _, v in g.entry(i, i).terms)
+
+    torus = [diagonal(f9, (LaurentPoly.const(f9, c), LaurentPoly.const(f9, f9.inv(c)))) for c in sub if c]
+    e_groups = {node: [G9.u(node, r) for r in sub] for node in (0, 1)}
+    return G9, trd.RsdBasis("subfield-F3", torus, torus_test, e_groups)
+
+
+def to_f3(g):
+    """An SL_2(F_9) matrix with F_3 entries, read over F_3 (the prime field
+    is 0..2 in both encodings)."""
+    f9, f3 = loop_group(9, 2).field, loop_group(3, 2).field
+    rows = []
+    for i in range(2):
+        terms = [g.entry(i, j).terms for j in range(2)]
+        assert all(f9.frobenius(v) == v for t in terms for _, v in t)
+        rows.append(tuple(LaurentPoly(f3, t) for t in terms))
+    return LaurentMatrix(f3, 2, tuple(rows))
 
 
 @pytest.fixture

@@ -21,6 +21,8 @@ from twinroot.descent import (
 )
 from twinroot.laurent import LaurentPoly, diagonal
 
+from conftest import subfield_basis, to_f3
+
 SUITE = {
     "A2": gcm.A2,
     "B2": gcm.B2,
@@ -198,15 +200,7 @@ def test_criterion_09_su3_structure_constants():
 
 def _center_line(q):
     d = su3_datum(q)
-    F = maximal_split_subgroup(d)
-    orc = trd.su3_oracle(d)
-    basis = trd.RsdBasis(
-        "center-line",
-        F.split_torus_elements(),
-        lambda g: d.ambient.is_torus(g) and F.contains(g),
-        {0: d.simple_root_group_center(0), 1: d.simple_root_group_center(1)},
-    )
-    return d, F, orc, basis
+    return d, maximal_split_subgroup(d), trd.su3_oracle(d), trd.center_line_basis(d)
 
 
 def test_criterion_10_twin_tree_valencies():
@@ -217,10 +211,7 @@ def test_criterion_10_twin_tree_valencies():
         radius = 2
         ball = trd.building_ball(orc, +1, radius)
         ok &= ball.panel_sizes == {0: 1 + q, 1: 1 + q**3}
-        sl2 = F.sl2
-        integ = trd.integrate_subdatum(
-            orc, basis, birkhoff=lambda g, F=F, sl2=sl2: sl2.birkhoff_cell(F.to_sl2(g))
-        )
+        integ = trd.integrate_subdatum(orc, basis)
         fball = trd.building_ball(integ.oracle(), +1, radius)
         ok &= fball.panel_sizes == {0: 1 + q, 1: 1 + q}
     report(
@@ -239,11 +230,9 @@ def test_criterion_11_subdatum_integration_instancewise():
     d, F, orc, basis = _center_line(2)
     ok &= trd.check_rsd(orc, basis, sample_budget=200, seed=0).passed
     sl2 = F.sl2
-    integ = trd.integrate_subdatum(
-        orc, basis, birkhoff=lambda g: sl2.birkhoff_cell(F.to_sl2(g))
-    )
+    integ = trd.integrate_subdatum(orc, basis)
     for r in roots.enumerate_real_roots(orc.gcm, 3):
-        ok &= set(integ.root_group_elements(r.coords)) == set(F.root_group(r.coords))
+        ok &= set(integ.root_group_elements(r.coords)) == set(d.root_group_center(r.coords))
     forc = integ.oracle()
     sorc = trd.split_oracle(sl2)
     balls = {}
@@ -275,38 +264,13 @@ def test_criterion_11_subdatum_integration_instancewise():
         ok &= w_f == w_g == w_sl2
 
     # subfield basis F_3 inside SL_2(F_9)
-    G9 = loop_group(9, 2)
+    G9, basis9 = subfield_basis()
     f9 = G9.field
     orc9 = trd.split_oracle(G9)
     sub = [a for a in f9.elements() if f9.frobenius(a) == a]
-
-    def torus_test(g):
-        if not G9.is_torus(g):
-            return False
-        return all(f9.frobenius(v) == v for i in range(2) for _, v in g.entry(i, i).terms)
-
-    basis9 = trd.RsdBasis(
-        "subfield-F3",
-        [
-            diagonal(f9, (LaurentPoly.const(f9, c), LaurentPoly.const(f9, f9.inv(c))))
-            for c in sub
-            if c
-        ],
-        torus_test,
-        {node: [G9.u(node, r) for r in sub] for node in (0, 1)},
-    )
     ok &= trd.check_rsd(orc9, basis9, sample_budget=200, seed=0).passed
     G3 = loop_group(3, 2)
-    from twinroot.laurent import LaurentMatrix
-
-    def to_f3(g):
-        return LaurentMatrix(
-            G3.field,
-            2,
-            tuple(tuple(LaurentPoly(G3.field, g.entry(i, j).terms) for j in range(2)) for i in range(2)),
-        )
-
-    integ9 = trd.integrate_subdatum(orc9, basis9, birkhoff=lambda g: G3.birkhoff_cell(to_f3(g)))
+    integ9 = trd.integrate_subdatum(orc9, basis9)
     for r in roots.enumerate_real_roots(orc9.gcm, 3):
         triple = G9.vector_to_root(r.coords)
         expected = {G9.root_group_element(triple, v) for v in sub}

@@ -293,6 +293,29 @@ def test_index_arguments_out_of_range(argv, message, a2_path, capsys):
     assert code == 1 and out == "" and lines == [message]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "positive", "--alpha", ","],
+        ["roots", "positive", "--alpha", "0,"],
+        ["roots", "positive", "--alpha", "1,,0"],
+        ["weyl", "length", "--word", "0,,1"],
+    ],
+    ids=["only_a_comma", "trailing_comma", "inner_empty_field", "word_inner_empty_field"],
+)
+def test_csv_empty_fields_are_rejected(argv, a2_path, capsys):
+    code, out, err = run([*argv, "--gcm", a2_path], capsys)
+    lines = [ln for ln in err.splitlines() if not ln.startswith("# twinroot ")]
+    assert code == 1 and out == ""
+    assert lines == [f"error: empty field in the comma-separated list {argv[-1]!r}"]
+
+
+def test_missing_word_is_the_empty_word(a2_path, capsys):
+    for argv in (["weyl", "length"], ["weyl", "length", "--word", ""]):
+        code, out, _ = run([*argv, "--gcm", a2_path], capsys)
+        assert code == 0 and out.strip() == "0"
+
+
 def _run_fresh(argv):
     """(exit code, stdout, stderr lines other than the config echo) of one
     CLI call; argparse rejections leave by SystemExit."""

@@ -7,6 +7,7 @@ from twinroot.cone import CoFunctional
 from twinroot.errors import (
     NotClosedUnderComposition,
     NotInFundamentalChamber,
+    OracleInconsistent,
     OrbitNotSpherical,
     RankMismatch,
 )
@@ -159,3 +160,37 @@ def test_cone_membership():
     # a point outside the Tits cone of an affine group never resolves
     status, w = cone.cone_membership(gcm.AFFINE_A1, CoFunctional.of([-1, -1]), cap=100)
     assert status == "undecided" and w is None
+
+
+def _check_fold(A, perm, rel, images, radius):
+    """Every element of the relative ball folds back from its image, the
+    concatenated orbit images, whose length is additive."""
+    orbits = cone.orbits(A, [perm])
+    ball = weyl.enumerate_ball(rel, radius)
+    for w in ball:
+        image = tuple(i for k in w.word for i in images[k])
+        ambient = weyl.from_word(A, image)
+        assert ambient.length == len(image), w.word
+        assert weyl.from_word(rel, cone.fold_word(A, orbits, ambient)) == w
+    return orbits, len(ball)
+
+
+def test_fold_word_affine_a2_flip():
+    # images of the infinite dihedral generators: s0 and s1 s2 s1
+    orbits, _ = _check_fold(gcm.AFFINE_A2, (0, 2, 1), gcm.AFFINE_A1, {0: (0,), 1: (1, 2, 1)}, 30)
+    # s_1 and s_1 s_0 are not fixed by the flip 1 <-> 2
+    for word in ((1,), (1, 0)):
+        with pytest.raises(OracleInconsistent):
+            cone.fold_word(gcm.AFFINE_A2, orbits, weyl.from_word(gcm.AFFINE_A2, word))
+
+
+def test_fold_word_affine_a3_flip():
+    # the flip 1 <-> 3 of the affine A3 cycle folds it to affine C2, with
+    # generators s0, s1 s3 and s2
+    A = gcm.validate_gcm([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]])
+    rel = gcm.validate_gcm([[2, -1, 0], [-2, 2, -2], [0, -1, 2]])
+    assert cone.relative_coxeter(A, [(0, 3, 2, 1)]).m == weyl.coxeter_matrix(rel).m
+    orbits, size = _check_fold(A, (0, 3, 2, 1), rel, {0: (0,), 1: (1, 3), 2: (2,)}, 6)
+    assert orbits == ((0,), (1, 3), (2,)) and size == 57
+    with pytest.raises(OracleInconsistent):
+        cone.fold_word(A, orbits, weyl.from_word(A, (3, 0)))

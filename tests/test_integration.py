@@ -4,73 +4,28 @@ import random
 import pytest
 
 from twinroot import roots as rootsmod
-from twinroot import trd, weyl
+from twinroot import trd
 from twinroot.chevalley import loop_group
 from twinroot.descent import maximal_split_subgroup, relative_root_group, su3_datum
-from twinroot.errors import OracleInconsistent
 from twinroot.gcm import AFFINE_A1
 from twinroot.laurent import LaurentPoly, diagonal
+
+from conftest import subfield_basis, to_f3
 
 
 def center_line_setup(q=2):
     d = su3_datum(q)
-    F = maximal_split_subgroup(d)
     orc = trd.su3_oracle(d)
-    basis = trd.RsdBasis(
-        "center-line",
-        F.split_torus_elements(),
-        lambda g: d.ambient.is_torus(g) and F.contains(g),
-        {0: d.simple_root_group_center(0), 1: d.simple_root_group_center(1)},
-    )
-    sl2 = F.sl2
-    integ = trd.integrate_subdatum(
-        orc, basis, birkhoff=lambda g: sl2.birkhoff_cell(F.to_sl2(g)), name="F(center-line)"
-    )
-    return d, F, orc, basis, integ
+    basis = trd.center_line_basis(d)
+    integ = trd.integrate_subdatum(orc, basis, name="F(center-line)")
+    return d, maximal_split_subgroup(d), orc, basis, integ
 
 
 def subfield_setup():
-    G9 = loop_group(9, 2)
-    f9 = G9.field
+    G9, basis = subfield_basis()
     orc = trd.split_oracle(G9)
-    sub = [a for a in f9.elements() if f9.frobenius(a) == a]
-
-    def torus_test(g):
-        if not G9.is_torus(g):
-            return False
-        for i in range(2):
-            ((_, v),) = g.entry(i, i).terms
-            if f9.frobenius(v) != v:
-                return False
-        return True
-
-    torus = [
-        diagonal(f9, (LaurentPoly.const(f9, c), LaurentPoly.const(f9, f9.inv(c))))
-        for c in sub
-        if c
-    ]
-    basis = trd.RsdBasis(
-        "subfield-F3", torus, torus_test, {node: [G9.u(node, r) for r in sub] for node in (0, 1)}
-    )
-    G3 = loop_group(3, 2)
-
-    def to_f3(g):
-        rows = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                p = g.entry(i, j)
-                assert all(f9.frobenius(v) == v for _, v in p.terms)
-                row.append(LaurentPoly(G3.field, p.terms))
-            rows.append(tuple(row))
-        from twinroot.laurent import LaurentMatrix
-
-        return LaurentMatrix(G3.field, 2, tuple(rows))
-
-    integ = trd.integrate_subdatum(
-        orc, basis, birkhoff=lambda g: G3.birkhoff_cell(to_f3(g)), name="F(subfield)"
-    )
-    return G9, G3, orc, basis, integ, to_f3
+    integ = trd.integrate_subdatum(orc, basis, name="F(subfield)")
+    return G9, loop_group(3, 2), orc, basis, integ
 
 
 def match_balls(ball_a, ball_b, map_rep, in_borel, sign):
@@ -121,7 +76,7 @@ def test_tautological_basis_recovers_the_group():
 def test_center_line_f_gamma_equals_e_gamma(q):
     d, F, orc, basis, integ = center_line_setup(q)
     for r in rootsmod.enumerate_real_roots(orc.gcm, 3):
-        assert set(integ.root_group_elements(r.coords)) == set(F.root_group(r.coords))
+        assert set(integ.root_group_elements(r.coords)) == set(d.root_group_center(r.coords))
 
 
 def test_center_line_ball_matches_sl2_ball():
@@ -154,7 +109,7 @@ def test_center_line_codistances_match():
 
 
 def test_subfield_ball_matches_sl2_f3_ball():
-    G9, G3, orc, basis, integ, to_f3 = subfield_setup()
+    G9, G3, orc, basis, integ = subfield_setup()
     forc = integ.oracle()
     sorc = trd.split_oracle(G3)
     for sign in (+1, -1):
@@ -171,7 +126,29 @@ def test_subfield_ball_matches_sl2_f3_ball():
         cp, cm = rng.choice(plus.chambers), rng.choice(minus.chambers)
         w_f = trd.codistance(forc, cp, cm)
         w_amb = trd.codistance(orc, cp, cm)
-        assert w_f == w_amb
+        w_f3 = G3.birkhoff_cell(to_f3(cp.rep).inverse() * to_f3(cm.rep))
+        assert w_f == w_amb == w_f3
+
+
+@pytest.mark.parametrize("case", ["center-line", "subfield"])
+def test_birkhoff_override_is_redundant(case):
+    """A codistance map passed to integrate_subdatum in place of the ambient
+    one (the SL_2 cell through F ~ SL_2, or through F_3 in F_9) changes
+    neither the balls nor any codistance between them."""
+    if case == "center-line":
+        d, F, orc, basis, _ = center_line_setup(2)
+        override = lambda g: F.sl2.birkhoff_cell(F.to_sl2(g))
+    else:
+        G9, G3, orc, basis, _ = subfield_setup()
+        override = lambda g: G3.birkhoff_cell(to_f3(g))
+    plain = trd.integrate_subdatum(orc, basis).oracle()
+    overridden = trd.integrate_subdatum(orc, basis, override).oracle()
+    for sign in (+1, -1):
+        assert trd.building_ball(plain, sign, 2).to_json() == trd.building_ball(overridden, sign, 2).to_json()
+    plus, minus = (trd.building_ball(plain, sign, 1) for sign in (+1, -1))
+    for cp in plus.chambers:
+        for cm in minus.chambers:
+            assert trd.codistance(plain, cp, cm) == trd.codistance(overridden, cp, cm)
 
 
 def test_su3_ball_valencies_both_signs():
@@ -282,22 +259,6 @@ def test_chain_condition_bound():
             best[s] = 1 + max((best[t] for t in order if t < s), default=0)
         # composition length of V_a over F_q is 3 = dim Z + dim V/Z
         assert max(best.values()) <= 1 + 3
-
-
-def test_fold_to_relative_consistency():
-    d = su3_datum(2)
-    amb = d.ambient
-    from twinroot.trd import _REL_IMAGE_WORDS, fold_to_relative
-
-    for w in weyl.enumerate_ball(AFFINE_A1, 30):
-        image_word = ()
-        for i in w.word:
-            image_word = image_word + _REL_IMAGE_WORDS[i]
-        assert fold_to_relative(d, weyl.from_word(amb.gcm, image_word)) == w
-    # s_1 and s_1 s_0 are not fixed by the diagram flip 1 <-> 2
-    for word in ((1,), (1, 0)):
-        with pytest.raises(OracleInconsistent):
-            fold_to_relative(d, weyl.from_word(amb.gcm, word))
 
 
 # --- Weyl-word representatives ------------------------------------------------------

@@ -7,10 +7,12 @@ import pytest
 from twinroot import roots as rootsmod
 from twinroot import trd, weyl
 from twinroot.chevalley import loop_group
-from twinroot.descent import maximal_split_subgroup, su3_datum
+from twinroot.descent import su3_datum
 from twinroot.errors import OracleInconsistent, SameSign
 from twinroot.laurent import LaurentPoly, diagonal
 from twinroot.roots import RootVector
+
+from conftest import subfield_basis
 
 
 def sl2_oracle(q=3):
@@ -23,41 +25,6 @@ def sl3_oracle(q=2):
 
 def su3_oracle(q=2):
     return trd.su3_oracle(su3_datum(q))
-
-
-def center_line_basis(q=2):
-    d = su3_datum(q)
-    F = maximal_split_subgroup(d)
-    basis = trd.RsdBasis(
-        "center-line",
-        F.split_torus_elements(),
-        lambda g: d.ambient.is_torus(g) and F.contains(g),
-        {0: d.simple_root_group_center(0), 1: d.simple_root_group_center(1)},
-    )
-    return d, F, basis
-
-
-def subfield_basis():
-    G9 = loop_group(9, 2)
-    f9 = G9.field
-    sub = [a for a in f9.elements() if f9.frobenius(a) == a]
-
-    def torus_test(g):
-        if not G9.is_torus(g):
-            return False
-        for i in range(2):
-            ((e, v),) = g.entry(i, i).terms
-            if f9.frobenius(v) != v:
-                return False
-        return True
-
-    torus = [
-        diagonal(f9, (LaurentPoly.const(f9, c), LaurentPoly.const(f9, f9.inv(c))))
-        for c in sub
-        if c
-    ]
-    e_groups = {node: [G9.u(node, r) for r in sub] for node in (0, 1)}
-    return G9, trd.RsdBasis("subfield-F3", torus, torus_test, e_groups)
 
 
 def test_check_trd_split_groups():
@@ -128,8 +95,8 @@ def test_fault_injection_sign_swapped_root_groups():
 
 
 def test_rsd_center_line_and_subfield_pass():
-    d, F, basis = center_line_basis(2)
-    rep = trd.check_rsd(trd.su3_oracle(d), basis, sample_budget=80, seed=0)
+    d = su3_datum(2)
+    rep = trd.check_rsd(trd.su3_oracle(d), trd.center_line_basis(d), sample_budget=80, seed=0)
     assert rep.passed, rep.to_json()
     G9, basis9 = subfield_basis()
     rep9 = trd.check_rsd(trd.split_oracle(G9), basis9, sample_budget=80, seed=0)
@@ -399,8 +366,8 @@ def _closure_case(name):
         G9, basis = subfield_basis()
         orc = trd.split_oracle(G9)
     else:
-        d, _, basis = center_line_basis(2)
-        orc = trd.su3_oracle(d)
+        d = su3_datum(2)
+        orc, basis = trd.su3_oracle(d), trd.center_line_basis(d)
     # no simple pair of these rank-2 affine data is prenilpotent, so RSD5
     # forms no closure for them; the pairs below have a nonempty open interval
     assert not _simple_prenilpotent_pairs(orc)
@@ -480,9 +447,8 @@ def linear_scan_balls(oracle, sign, radius):
 
 
 def _integrated_f_oracle():
-    d, F, basis = center_line_basis(2)
-    sl2 = F.sl2
-    integ = trd.integrate_subdatum(trd.su3_oracle(d), basis, birkhoff=lambda g: sl2.birkhoff_cell(F.to_sl2(g)))
+    d = su3_datum(2)
+    integ = trd.integrate_subdatum(trd.su3_oracle(d), trd.center_line_basis(d))
     return integ.oracle()
 
 
