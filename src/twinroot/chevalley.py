@@ -35,8 +35,8 @@ class WordReps:
     reflections s_hat(i) along the word (any word, reduced or not).
 
     An entry is built from its prefix's entry and its last letter's, one
-    product per side, so each s_hat(i) is inverted once.  Root groups at
-    w(+-alpha_i) are w-conjugates of simple ones: conjugate(word, group)."""
+    product per side, so each s_hat(i) is inverted once.  Root groups are
+    conjugates of positive simple ones along a carrying word: root_groups."""
 
     def __init__(self, identity: LaurentMatrix, s_hat):
         self._s_hat = s_hat  # node -> matrix
@@ -52,10 +52,21 @@ class WordReps:
                 self._table[word] = (rep * s, s_inv * rep_inv)
         return self._table[word]
 
-    def conjugate(self, word: tuple, group) -> list[LaurentMatrix]:
-        """[rep * u * rep^-1 for u in group], in the group's order."""
-        rep, rep_inv = self[word]
-        return [rep * u * rep_inv for u in group]
+    def root_groups(self, carrier, simple):
+        """vector -> [rep * u * rep^-1 for u in simple(i)] in simple(i)'s order,
+        with (i, word) = carrier(vector), vector = w(alpha_i) and rep word's
+        entry.  Formed once per root; every call hands out a fresh list."""
+        groups = {}
+
+        def group(vector) -> list[LaurentMatrix]:
+            key = tuple(vector)
+            if key not in groups:
+                i, word = carrier(key)
+                rep, rep_inv = self[word]
+                groups[key] = tuple(rep * u * rep_inv for u in simple(i))
+            return list(groups[key])
+
+        return group
 
 
 _AFFINE_GCM = {
@@ -102,19 +113,16 @@ class LoopGroup:
         return tuple(v[m] + k * self._delta[m] for m in range(self.n))
 
     def vector_to_root(self, vector) -> AffineRoot:
+        """The (i, j, k) whose root_vector is vector: k = v_0, and v_m - k on
+        nodes 1..n-1 is epsilon_i - epsilon_j, +1 on nodes i+1..j (i < j) or
+        -1 on nodes j+1..i (i > j); BadRoot otherwise."""
         k = vector[0]
-        classical = tuple(vector[m] - k for m in range(self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    continue
-                cand = (
-                    self._classical_vector(i, j)
-                    if i < j
-                    else [-x for x in self._classical_vector(j, i)]
-                )
-                if tuple(cand) == classical:
-                    return (i, j, k)
+        support = [m for m, x in enumerate(vector) if x != k]  # never node 0
+        if support:
+            lo, hi = support[0] - 1, support[-1]
+            root = (lo, hi, k) if vector[support[0]] > k else (hi, lo, k)
+            if self.root_vector(root) == tuple(vector):
+                return root
         raise BadRoot(f"{vector} is not a real root of the affine system")
 
     # --- elements ------------------------------------------------------------
@@ -217,7 +225,8 @@ class LoopGroup:
     def weyl_from_monomial(self, m: LaurentMatrix) -> WeylElement:
         """Abstract affine Weyl element of a monomial matrix, read off from
         its pattern; OracleInconsistent if m is not monomial or no Weyl
-        element acts as it does."""
+        element acts as it does.  Kept as the tests' independent reader of
+        monomial matrices; the library reads cells from jump profiles."""
         pattern = []
         for j in range(self.n):
             nonzero = [(i, m.entry(i, j)) for i in range(self.n) if not m.entry(i, j).is_zero()]

@@ -11,7 +11,7 @@ q^3 whose center is the b-line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from . import cone
 from .chevalley import LoopGroup, WordReps, loop_group
@@ -21,12 +21,11 @@ from .errors import (
     OracleInconsistent,
     RankMismatch,
     TrivialElement,
-    UnsupportedLevel,
 )
 from .fields import GF, GaloisField
 from .gcm import AFFINE_A1, AFFINE_A2, GeneralizedCartanMatrix
 from .laurent import LaurentMatrix, LaurentPoly, diagonal, elementary
-from .roots import root_witness
+from .roots import carrier_word
 
 REL_GCM: GeneralizedCartanMatrix = AFFINE_A1  # infinite dihedral realization
 # orbits of the diagram flip 1 <-> 2 of the ambient affine A2; orbit k folds
@@ -109,14 +108,10 @@ class HermitianDescentDatum:
         return elementary(e, 3, 0, 2, LaurentPoly.monomial(e, -1, r))
 
     def metabelian_parameters(self):
+        """The (c, b) with tr(b) = -N(c), c-major: the parameters of u(c, b)."""
         e = self.ext
-        out = []
-        for c in e.elements():
-            target = e.neg(e.norm(c))
-            for b in e.elements():
-                if e.add(b, e.frobenius(b)) == target:
-                    out.append((c, b))
-        return out
+        norms = {c: e.neg(e.norm(c)) for c in e.elements()}
+        return [(c, b) for c in e.elements() for b in e.elements() if e.add(b, e.frobenius(b)) == norms[c]]
 
     # --- mu-maps (closed forms, verified in the test-suite) ------------------
 
@@ -131,8 +126,7 @@ class HermitianDescentDatum:
         cbar = e.frobenius(c)
         left = self.unipotent_lower(e.mul(cbar, e.inv(bbar)), e.inv(bbar))
         right = self.unipotent_lower(e.mul(cbar, e.inv(b)), e.inv(bbar))
-        m = left * self.unipotent_upper(c, b) * right
-        return m
+        return left * self.unipotent_upper(c, b) * right
 
     def mu_affine(self, r: int) -> LaurentMatrix:
         if r == 0:
@@ -161,58 +155,46 @@ class HermitianDescentDatum:
 
     # --- relative root groups -------------------------------------------------
 
-    def simple_root_group(self, node: int, positive: bool = True):
-        """All elements of the simple relative root group (finite)."""
-        e = self.ext
+    def simple_root_group(self, node: int):
+        """All elements of the positive simple relative root group (finite)."""
         if node == 0:
-            out = [self.affine_node_element(r, 1 if positive else -1) for r in e.trace_zero()]
-            return out
-        ups = [self.unipotent_upper(c, b) for c, b in self.metabelian_parameters()]
-        if positive:
-            return ups
-        return self.reps.conjugate((1,), ups)
+            return [self.affine_node_element(r) for r in self.ext.trace_zero()]
+        return [self.unipotent_upper(c, b) for c, b in self.metabelian_parameters()]
 
-    def simple_root_group_center(self, node: int, positive: bool = True):
-        e = self.ext
+    def simple_root_group_center(self, node: int):
         if node == 0:
-            return self.simple_root_group(node, positive)
-        cent = [self.unipotent_upper(0, b) for b in e.trace_zero()]
-        if positive:
-            return cent
-        return self.reps.conjugate((1,), cent)
+            return self.simple_root_group(node)
+        return [self.unipotent_upper(0, b) for b in self.ext.trace_zero()]
+
+    @cached_property
+    def _root_groups(self):
+        """Root vector -> group maps: [simple groups, their centers]."""
+        carrier = partial(carrier_word, REL_GCM)
+        simple = (self.simple_root_group, self.simple_root_group_center)
+        return [self.reps.root_groups(carrier, s) for s in simple]
 
     def root_group(self, vector) -> list[LaurentMatrix]:
         """Relative root group for any real root of the infinite dihedral
-        system, by conjugating a simple one along a Weyl witness."""
-        w, node, sgn = root_witness(REL_GCM, tuple(vector))
-        return self.reps.conjugate(w.word, self.simple_root_group(node, sgn > 0))
+        system: a positive simple one conjugated along the carrying word."""
+        return self._root_groups[0](vector)
 
     def root_group_center(self, vector) -> list[LaurentMatrix]:
-        w, node, sgn = root_witness(REL_GCM, tuple(vector))
-        return self.reps.conjugate(w.word, self.simple_root_group_center(node, sgn > 0))
+        return self._root_groups[1](vector)
 
     def mu_for(self, vector, u: LaurentMatrix) -> LaurentMatrix:
-        """mu-map of a nontrivial element of the root group at `vector`."""
-        w, node, sgn = root_witness(REL_GCM, tuple(vector))
-        rep, rep_inv = self.reps[w.word]
-        u0 = rep_inv * u * rep
-        if sgn > 0:
-            m0 = self._mu_simple(node, u0)
-        else:
-            s, s_inv = self.reps[(node,)]
-            m0 = s_inv * self._mu_simple(node, s * u0 * s_inv) * s
-        return rep * m0 * rep_inv
+        """mu-map of a nontrivial element of the root group at `vector`: the
+        simple mu-map conjugated along the carrying word."""
+        node, word = carrier_word(REL_GCM, vector)
+        rep, rep_inv = self.reps[word]
+        return rep * self._mu_simple(node, rep_inv * u * rep) * rep_inv
 
     def _mu_simple(self, node: int, u: LaurentMatrix) -> LaurentMatrix:
-        e = self.ext
         if node == 0:
             p = u.entry(2, 0)
             if p.is_zero():
                 raise TrivialElement("mu-map of the trivial element")
             return self.mu_affine(p.coeff(1))
-        c = u.entry(1, 2).coeff(0)
-        b = u.entry(0, 2).coeff(0)
-        return self.mu_metabelian(c, b)
+        return self.mu_metabelian(u.entry(1, 2).coeff(0), u.entry(0, 2).coeff(0))
 
     # --- torus ---------------------------------------------------------------
 
@@ -255,10 +237,8 @@ def su3_datum(q: int, window: int = 8) -> HermitianDescentDatum:
 # --- top-level operations -------------------------------------------------
 
 
-def relative_root_group(d: HermitianDescentDatum, node: int, level: int = 0):
-    """(elements, center) of the simple relative root group; level 0 only."""
-    if level != 0:
-        raise UnsupportedLevel("explicit enumeration is exposed at level 0")
+def relative_root_group(d: HermitianDescentDatum, node: int):
+    """(elements, center) of the positive simple relative root group."""
     if node not in (0, 1):
         raise BadRoot("relative simple roots are indexed by {0, 1}")
     return d.simple_root_group(node), d.simple_root_group_center(node)

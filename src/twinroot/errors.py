@@ -115,10 +115,6 @@ class DegreeWindowExceeded(TwinrootError):
     pass
 
 
-class UnsupportedLevel(TwinrootError):
-    pass
-
-
 # --- twin root datum layer --------------------------------------------------
 
 class OracleInconsistent(TwinrootError):

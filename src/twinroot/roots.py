@@ -136,6 +136,14 @@ def root_witness(A: GeneralizedCartanMatrix, v: IntVector) -> tuple[WeylElement,
         letters.append(i)
 
 
+def carrier_word(A: GeneralizedCartanMatrix, v: IntVector) -> tuple[int, tuple[int, ...]]:
+    """(i, word) with v = w(alpha_i) for the w the word spells: the witness's
+    w for v = w(alpha_i), w s_i for v = w(-alpha_i) (s_i sends alpha_i to
+    -alpha_i).  U_v is the word's conjugate of the positive U_(alpha_i)."""
+    w, i, sign = root_witness(A, tuple(v))
+    return i, w.word if sign > 0 else w.word + (i,)
+
+
 @lru_cache(maxsize=4096)
 def reflection_matrix(A: GeneralizedCartanMatrix, alpha: RootVector):
     """Action matrix of the reflection through alpha (= w s_i w^{-1})."""

@@ -505,14 +505,13 @@ class IntegratedSubgroup:
         self._birkhoff = birkhoff or oracle.birkhoff
         self.s_hat = basis.reflections(oracle)
         self.reps = WordReps(oracle.identity, self.s_hat.__getitem__)
+        carrier = functools.partial(rootsmod.carrier_word, oracle.gcm)
+        self._root_groups = self.reps.root_groups(carrier, basis.e_groups.__getitem__)
         self._neg_step = {}
 
     def root_group_elements(self, vector):
-        """F_gamma for gamma = w(sign alpha_i): E_i conjugated along w, and
-        along w s_i when the sign is negative."""
-        w, node, sgn = rootsmod.root_witness(self.ambient.gcm, tuple(vector))
-        word = w.word if sgn > 0 else w.word + (node,)
-        return self.reps.conjugate(word, self.basis.e_groups[node])
+        """F_gamma: the basis group E_i conjugated along gamma's carrying word."""
+        return self._root_groups(vector)
 
     def oracle(self) -> GroupOracle:
         amb = self.ambient

@@ -361,22 +361,20 @@ def _torsion_exponent(n: int) -> int:
     return out
 
 
-def matrix_order(mat: IntMatrix, cap: int = 10**4) -> int | float:
+def matrix_order(mat: IntMatrix) -> int | float:
     """Exact order of an integer matrix, math.inf if infinite.
 
     Finiteness is certified: a finite-order element of GL_n(Z) has order
-    dividing the torsion exponent for n, so one fast exponentiation decides.
+    dividing the torsion exponent for n, so one fast exponentiation decides,
+    and the walk over the powers then stops by that exponent.
     """
     n = len(mat)
     ident = identity_matrix(n)
     if mat == ident:
         return 1
-    exponent = _torsion_exponent(n)
-    if mat_pow(mat, exponent) != ident:
+    if mat_pow(mat, _torsion_exponent(n)) != ident:
         return INF
-    power = mat
-    for k in range(1, min(exponent, cap) + 1):
-        if power == ident:
-            return k
-        power = mat_mul(power, mat)
-    raise ExplosionGuard("order exceeded cap despite finite certificate")
+    power, order = mat, 1
+    while power != ident:
+        power, order = mat_mul(power, mat), order + 1
+    return order

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -449,6 +450,23 @@ def test_affine_root_positivity_convention():
                 continue
             for k in (-2, -1, 0, 1, 2):
                 assert (root_sign(G.root_vector((i, j, k))) > 0) == (k > 0 or (k == 0 and i < j))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_vector_to_root_round_trip(n):
+    """vector_to_root inverts root_vector on every root of level -4..4 and
+    rejects every other vector of [-3, 3]^n."""
+    G = loop_group(2, n)
+    real = {
+        G.root_vector((i, j, k)): (i, j, k)
+        for i in range(n) for j in range(n) if i != j for k in range(-4, 5)
+    }
+    for v, root in real.items():
+        assert G.vector_to_root(v) == root
+    for v in itertools.product(range(-3, 4), repeat=n):
+        if v not in real:
+            with pytest.raises(BadRoot):
+                G.vector_to_root(v)
 
 
 def test_borel_elements_sit_in_the_identity_cell(rng):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from twinroot import weyl
+from twinroot import roots, trd, weyl
 from twinroot.descent import (
     REL_GCM,
     anisotropic_kernel,
@@ -10,7 +10,7 @@ from twinroot.descent import (
     relative_root_group,
     su3_datum,
 )
-from twinroot.errors import BadRoot, NotUnimodular, UnsupportedLevel
+from twinroot.errors import BadRoot, NotUnimodular
 from twinroot.laurent import LaurentMatrix, LaurentPoly, diagonal
 
 
@@ -50,7 +50,7 @@ def test_is_fixed_matches_sigma(q):
     ext = d.ext
     outside = next(a for a in ext.units() if ext.frobenius(a) != a)
     fixed = (
-        d.simple_root_group(0) + d.simple_root_group(1, positive=False)
+        d.simple_root_group(0) + d.root_group((0, -1))
         + d.anisotropic_kernel_elements() + [d.torus_element(a, m) for a in ext.units() for m in (-1, 2)]
     )
     one, zero = LaurentPoly.one(ext), LaurentPoly.zero(ext)
@@ -74,8 +74,6 @@ def test_structure_constants(q):
     assert len(v1) == q**3
     assert len(z1) == q
     assert len(v0) == q and len(z0) == q
-    with pytest.raises(UnsupportedLevel):
-        relative_root_group(d, 1, level=1)
     with pytest.raises(BadRoot):
         relative_root_group(d, 2)
 
@@ -189,6 +187,33 @@ def test_mu_conjugation_swaps_relative_root_groups(q):
                 weyl.mat_vec(weyl.simple_reflection_action(REL_GCM, node), moved)
             )
         )
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_mu_for_matches_the_two_branch_reference(q):
+    """mu_for conjugates along the carrying word, w s_i for w(-alpha_i); the
+    reference treats a negative root apart, as s^-1 mu(s u0 s^-1) s with
+    u0 = rep_w^-1 u rep_w."""
+    d = su3_datum(q)
+    orc = trd.su3_oracle(d)
+
+    def reference(vector, u):
+        w, node, sign = roots.root_witness(REL_GCM, vector)
+        rep, rep_inv = d.reps[w.word]
+        u0 = rep_inv * u * rep
+        if sign > 0:
+            m0 = d._mu_simple(node, u0)
+        else:
+            s, s_inv = d.reps[(node,)]
+            m0 = s_inv * d._mu_simple(node, s * u0 * s_inv) * s
+        return rep * m0 * rep_inv
+
+    checked = 0
+    for v in orc.windowed_roots(3):
+        for u in orc.nontrivial(v):
+            assert d.mu_for(v, u) == reference(v, u), v
+            checked += 1
+    assert checked == {2: 50, 3: 172}[q]  # 14 roots: 8 carried by node 0, 6 by node 1
 
 
 @pytest.mark.parametrize("q", [2, 3])

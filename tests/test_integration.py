@@ -320,3 +320,16 @@ def test_root_group_lists_match_the_conjugation_loop():
         if sgn < 0:
             base = conjugated(integ.s_hat.__getitem__, (node,), base)
         assert integ.root_group_elements(v) == conjugated(integ.s_hat.__getitem__, w.word, base), v
+
+
+def test_root_groups_are_handed_out_as_fresh_lists():
+    """Each root group is formed once; a caller that mutates the list it was
+    given does not change what the next caller gets."""
+    d, F, orc, basis, integ = center_line_setup(2)
+    for get in (d.root_group, d.root_group_center, integ.root_group_elements):
+        for v in ((0, 1), (0, -1), (1, 2), (-2, -1)):
+            first = get(v)
+            want = list(first)
+            first.reverse()
+            first.pop()
+            assert get(v) == want, (get, v)

@@ -1,12 +1,23 @@
 """Library code fails with typed errors: no assert statement (it vanishes
-under python -O) and no bare except or except Exception/BaseException (they
-swallow faults instead of naming them)."""
+under python -O), no bare except or except Exception/BaseException (they
+swallow faults instead of naming them), and no error class that no module
+raises or catches."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "twinroot"
 BROAD = {"Exception", "BaseException"}
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _handled(handler):
+    """The names an except clause catches."""
+    t = handler.type
+    return [] if t is None else [_name(x) for x in (t.elts if isinstance(t, ast.Tuple) else [t])]
 
 
 def faults(tree):
@@ -17,9 +28,7 @@ def faults(tree):
         elif isinstance(node, ast.ExceptHandler):
             if node.type is None:
                 yield node.lineno, "bare except"
-                continue
-            for t in node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]:
-                name = t.id if isinstance(t, ast.Name) else getattr(t, "attr", None)
+            for name in _handled(node):
                 if name in BROAD:
                     yield node.lineno, f"except {name}"
 
@@ -44,3 +53,20 @@ def test_fault_scan_sees_each_kind():
     assert list(faults(ast.parse(text))) == [
         (1, "assert"), (4, "bare except"), (8, "except Exception"), (12, "except BaseException")
     ]
+
+
+def test_every_error_class_is_raised_or_caught():
+    """Each class of errors.py is raised or caught in another module of
+    the package, so a dead error type cannot linger."""
+    errors = SRC / "errors.py"
+    defined = {node.name for node in ast.parse(errors.read_text()).body if isinstance(node, ast.ClassDef)}
+    used = set()
+    for path in SRC.rglob("*.py"):
+        if path == errors:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used.add(_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+            elif isinstance(node, ast.ExceptHandler):
+                used.update(_handled(node))
+    assert sorted(defined - used) == []

@@ -6,7 +6,7 @@ import pytest
 from twinroot import gcm, weyl
 from twinroot.errors import ExplosionGuard, IndexOutOfRange
 
-from conftest import LARGER_GCMS, TEST_GCMS
+from conftest import LARGER_GCMS, TEST_GCMS, cartan
 
 
 def brute_group(A, radius=12):
@@ -80,6 +80,15 @@ def test_braid_orders():
                     for _ in range(50):
                         assert power != weyl.identity_matrix(A.n)
                         power = weyl.mat_mul(power, prod)
+
+
+def test_coxeter_element_orders():
+    # s_0 ... s_(n-1) has order n + 1 in A_n (an (n+1)-cycle of S_(n+1)),
+    # infinite order in affine A2
+    for n in range(1, 8):
+        c = weyl.from_word(cartan(n, [(i, i + 1, 1) for i in range(n - 1)]), tuple(range(n)))
+        assert weyl.matrix_order(c.mat) == n + 1
+    assert weyl.matrix_order(weyl.from_word(gcm.AFFINE_A2, (0, 1, 2)).mat) == weyl.INF
 
 
 def test_multiply_against_brute_force_a2():
