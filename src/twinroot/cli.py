@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input (diagnostic on stderr), 2 when an
 operation returns Undecided.  The resolved configuration is echoed to stderr
-so stdout stays byte-stable for identical inputs.
+so stdout stays byte-stable for identical inputs.  Each verb imports the
+layers it runs inside its dispatch function, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -12,13 +13,8 @@ import json
 import os
 import sys
 
-from . import cone, gcm as gcmmod, roots as rootsmod, trd, weyl
-from .chevalley import loop_group
-from .descent import anisotropic_kernel, relative_root_group, su3_datum
+from . import gcm as gcmmod
 from .errors import IndexOutOfRange, TwinrootError, UndecidedError, UnknownFormat
-from .laurent import matrix_from_json
-from .roots import RootVector
-from .trd import export_graph
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,6 +45,8 @@ def _add_common(p):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="twinroot")
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
     verbs = parser.add_subparsers(dest="verb", required=True)
     for verb, subverbs in {
         "gcm": ["validate", "sc", "adjoint", "dual"],
@@ -61,8 +59,7 @@ def build_parser() -> _Parser:
         vp = verbs.add_parser(verb)
         subs = vp.add_subparsers(dest="subverb", required=True)
         for sv in subverbs:
-            sp = subs.add_parser(sv)
-            _add_common(sp)
+            subs.add_parser(sv, parents=[common])
     return parser
 
 
@@ -84,12 +81,13 @@ def _csv_ints(text):
     return tuple(int(x) for x in fields)
 
 
-def _root_arg(A, text) -> RootVector:
-    """A simple-root index or CSV coordinates; BadRoot unless a real root."""
+def _root_arg(A, text):
+    """The RootVector a simple-root index or CSV coordinates name; BadRoot unless real."""
+    from . import roots as rootsmod
     if not text:
         raise TwinrootError("--alpha and --beta take a simple-root index or CSV coordinates")
     vals = _csv_ints(text)
-    root = rootsmod.simple_root(A, vals[0]) if len(vals) == 1 else RootVector(vals)
+    root = rootsmod.simple_root(A, vals[0]) if len(vals) == 1 else rootsmod.RootVector(vals)
     rootsmod.root_witness(A, root.coords)
     return root
 
@@ -123,6 +121,7 @@ def _tsv(rows) -> str:
 
 
 def _inf_json(x):
+    from . import weyl
     return None if x == weyl.INF else x
 
 
@@ -140,6 +139,7 @@ def _dispatch_gcm(args):
 
 
 def _dispatch_weyl(args):
+    from . import weyl
     A = _load_gcm(args)
     if args.subverb == "coxeter":
         m = weyl.coxeter_matrix(A).m
@@ -164,6 +164,7 @@ def _dispatch_weyl(args):
 
 
 def _dispatch_roots(args):
+    from . import roots as rootsmod
     A = _load_gcm(args)
     if args.subverb == "ball":
         rr = rootsmod.enumerate_real_roots(A, args.radius)
@@ -186,12 +187,14 @@ def _dispatch_roots(args):
 
 
 def _perm_arg(args, A):
+    from . import cone
     if not args.word:
         raise TwinrootError("--word CSV holds the node permutation for cone commands")
     return cone.diagram_automorphism(A, _csv_ints(args.word))
 
 
 def _dispatch_cone(args):
+    from . import cone
     A = _load_gcm(args)
     if args.subverb == "fold":
         rc = cone.relative_coxeter(A, [_perm_arg(args, A)])
@@ -207,14 +210,16 @@ def _dispatch_cone(args):
     return 0
 
 
-def _group_of(args):
+def _group_of(args, expected="matrix commands expect --group sl2 or sl3"):
+    from .chevalley import loop_group
     if args.group in ("sl2", "sl3"):
         return loop_group(args.q, 2 if args.group == "sl2" else 3)
-    raise TwinrootError("matrix commands expect --group sl2 or sl3")
+    raise TwinrootError(expected)
 
 
 def _dispatch_group(args):
     if args.subverb == "su3":
+        from .descent import anisotropic_kernel, relative_root_group, su3_datum
         d = su3_datum(args.q)
         v1, z1 = relative_root_group(d, 1)
         v0, z0 = relative_root_group(d, 0)
@@ -232,6 +237,7 @@ def _dispatch_group(args):
             )
         )
         return 0
+    from .laurent import matrix_from_json
     G = _group_of(args)
     if args.subverb == "mu":
         nodes = _csv_ints("1" if args.alpha is None else args.alpha)
@@ -249,15 +255,17 @@ def _dispatch_group(args):
 
 
 def _dispatch_trd(args):
+    from . import descent, trd
     seed = _seed(args)
     if args.subverb == "rsd":
         if args.group != "su3":
             raise TwinrootError("the CLI exposes the su3 center-line basis; use --group su3")
-        d = su3_datum(args.q)
+        d = descent.su3_datum(args.q)
         rep = trd.check_rsd(trd.su3_oracle(d), trd.center_line_basis(d), sample_budget=60, seed=seed)
         _emit(rep.to_json())
         return 0 if rep.passed else 1
-    orc = trd.su3_oracle(su3_datum(args.q)) if args.group == "su3" else trd.split_oracle(_group_of(args))
+    orc = (trd.su3_oracle(descent.su3_datum(args.q)) if args.group == "su3"
+           else trd.split_oracle(_group_of(args, f"trd {args.subverb} expects --group sl2, sl3 or su3")))
     if args.subverb == "check":
         rep = trd.check_trd(orc, sample_budget=60, level_window=args.level_window, seed=seed)
         _emit(rep.to_json())
@@ -267,7 +275,7 @@ def _dispatch_trd(args):
         rows = [[k, ".".join(map(str, c.word)) or "e"] for k, c in enumerate(graph.chambers)]
         _emit(_tsv(rows))
     else:
-        _emit(export_graph(graph, args.format))
+        _emit(trd.export_graph(graph, args.format))
     return 0
 
 

@@ -68,8 +68,10 @@ class GroupOracle:
 
 
 def split_oracle(group: LoopGroup, name: str = None) -> GroupOracle:
+    built = functools.cache(lambda root: tuple(group.root_group_elements(root)))  # once per root, built directly
+
     def root_elems(vector):
-        return group.root_group_elements(group.vector_to_root(vector))
+        return list(built(group.vector_to_root(vector)))
 
     def mu(vector, u):
         triple = group.vector_to_root(vector)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from unittest import mock
@@ -314,6 +315,136 @@ def test_missing_word_is_the_empty_word(a2_path, capsys):
     for argv in (["weyl", "length"], ["weyl", "length", "--word", ""]):
         code, out, _ = run([*argv, "--gcm", a2_path], capsys)
         assert code == 0 and out.strip() == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trd", "check"], "error: trd check expects --group sl2, sl3 or su3"),
+        (["trd", "twintree"], "error: trd twintree expects --group sl2, sl3 or su3"),
+        (["group", "mu"], "error: matrix commands expect --group sl2 or sl3"),
+    ],
+    ids=["trd_check", "trd_twintree", "group_mu"],
+)
+def test_missing_group_names_the_groups_the_verb_takes(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    lines = [ln for ln in err.splitlines() if not ln.startswith("# twinroot ")]
+    assert code == 1 and out == "" and lines == [message]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_LOADED = """
+import contextlib, io, json, sys
+from twinroot import cli
+for argv, stdin in json.loads(sys.argv[1]):
+    sys.stdin = io.StringIO(stdin)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.dispatch(argv)
+    if code != 0:
+        sys.exit(f"{argv} exited with {code}")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "twinroot")))
+"""
+_MATRIX_LAYERS = {"twinroot.fields", "twinroot.laurent", "twinroot.chevalley", "twinroot.descent", "twinroot.trd"}
+
+
+def _modules_loaded_by(calls):
+    """The twinroot modules a fresh interpreter holds after importing the
+    CLI and running each (argv, stdin) of calls through cli.dispatch."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(calls)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_importing_the_cli_loads_only_gcm_and_errors():
+    assert _modules_loaded_by([]) == {"twinroot", "twinroot.cli", "twinroot.errors", "twinroot.gcm"}
+
+
+@pytest.mark.parametrize(
+    "verb, subverbs, extra",
+    [
+        ("gcm", ["validate", "sc", "adjoint", "dual"], []),
+        ("weyl", ["coxeter", "length", "reduced", "ball", "order"], ["--word", "0,1"]),
+        ("roots", ["ball", "positive", "prenilpotent", "interval", "nibbling"], ["--alpha", "0", "--beta", "1"]),
+        ("cone", ["fold", "fixed"], ["--word", "1,0"]),
+    ],
+)
+def test_gcm_level_verbs_load_no_matrix_layer(verb, subverbs, extra, a2_path):
+    loaded = _modules_loaded_by([([verb, sv, "--gcm", a2_path, *extra], "") for sv in subverbs])
+    assert f"twinroot.{verb}" in loaded and not loaded & _MATRIX_LAYERS
+
+
+def test_matrix_group_verbs_load_neither_descent_nor_trd():
+    from twinroot.chevalley import loop_group
+
+    g = loop_group(2, 2)._canonical_s(1).to_json()
+    calls = [(["group", sv, "--group", "sl2"], g) for sv in ("mu", "bruhat", "birkhoff")]
+    loaded = _modules_loaded_by(calls)
+    # chevalley does not import roots either, which keeps loop-group work off the root layer
+    assert "twinroot.chevalley" in loaded and not loaded & {"twinroot.descent", "twinroot.trd", "twinroot.roots"}
+
+
+_VERBS = {
+    "gcm": ["validate", "sc", "adjoint", "dual"],
+    "weyl": ["coxeter", "length", "reduced", "ball", "order"],
+    "roots": ["ball", "positive", "prenilpotent", "interval", "nibbling"],
+    "cone": ["fold", "fixed"],
+    "group": ["mu", "bruhat", "birkhoff", "su3"],
+    "trd": ["check", "rsd", "twintree"],
+}
+
+
+def _reference_parser():
+    """The parser with the common options added to each subverb parser on
+    its own, as the shared option parser replaces."""
+    parser = cli._Parser(prog="twinroot")
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    for verb, subverbs in _VERBS.items():
+        subs = verbs.add_parser(verb).add_subparsers(dest="subverb", required=True)
+        for sv in subverbs:
+            cli._add_common(subs.add_parser(sv))
+    return parser
+
+
+def _parse(parser, argv):
+    """(Namespace or the exit code, stdout, stderr) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_help_matches_the_reference_parser():
+    # each verb's help lists its subverbs, so the two parsers have the same 23
+    calls = [["--help"]] + [[verb, "--help"] for verb in _VERBS]
+    calls += [[verb, sv, "--help"] for verb, subverbs in _VERBS.items() for sv in subverbs]
+    for argv in calls:
+        got = _parse(cli.build_parser(), argv)
+        assert got[0] == 0 and got == _parse(_reference_parser(), argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gcm", "validate", "--gcm", "a.json"], None),
+        (["weyl", "ball", "--gcm", "a.json", "--radius", "3", "--format", "tsv"], None),
+        (["roots", "interval", "--alpha", "0", "--beta=-1,0", "--search-radius", "0"], None),
+        (["cone", "fixed", "--word", "0,2,1", "--alpha", "0"], None),
+        (["group", "mu", "--group", "sl3", "--q", "3", "--seed", "5"], None),
+        (["trd", "check", "--group", "su3", "--level-window", "1"], None),
+        (["trd", "check", "--level-window", "-1"], 1),
+        (["weyl", "length", "--bogus", "x"], 1),
+        (["group", "bruhat", "--q", "5"], 1),
+        (["trd"], 1),
+    ],
+)
+def test_parse_matches_the_reference_parser(argv, code):
+    got = _parse(cli.build_parser(), argv)
+    assert got == _parse(_reference_parser(), argv)
+    assert got[0] == code if code is not None else got[0].verb == argv[0]
 
 
 def _run_fresh(argv):

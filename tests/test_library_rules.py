@@ -1,7 +1,8 @@
 """Library code fails with typed errors: no assert statement (it vanishes
 under python -O), no bare except or except Exception/BaseException (they
 swallow faults instead of naming them), and no error class that no module
-raises or catches."""
+raises or catches.  Only the CLI imports inside functions, so each verb loads
+the layers it runs; library modules keep their import graph at module level."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,34 @@ def test_every_error_class_is_raised_or_caught():
             elif isinstance(node, ast.ExceptHandler):
                 used.update(_handled(node))
     assert sorted(defined - used) == []
+
+
+def local_imports(tree):
+    """Lines of the import statements inside a function body."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return [
+        node.lineno
+        for fn in ast.walk(tree) if isinstance(fn, functions)
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def test_only_the_cli_imports_inside_functions():
+    found = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "cli.py"
+        for line in sorted(set(local_imports(ast.parse(path.read_text(), filename=str(path)))))
+    ]
+    assert found == []
+
+
+def test_local_import_scan_sees_each_kind():
+    text = (
+        "import os\n"
+        "from . import weyl\n"
+        "def f():\n    import json\n"
+        "class C:\n    def m(self):\n        from . import roots as r\n"
+        "async def g():\n    def h():\n        from .trd import check_trd\n"
+    )
+    assert sorted(set(local_imports(ast.parse(text)))) == [4, 7, 10]

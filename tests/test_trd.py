@@ -547,3 +547,23 @@ def test_group_oracle_keeps_the_fields_callers_replace():
     # the benchmark's tracer and the fault-injection tests swap these with dataclasses.replace
     names = {f.name for f in fields(trd.GroupOracle)}
     assert {"mul", "in_borel", "root_group_elements", "is_torus", "bruhat_key"} <= names
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_split_root_groups_are_built_once_and_handed_out_fresh(n):
+    # over F_3 the directly built order differs from a conjugated one
+    # (r -> -r), and ball parameters and check_trd's samples read that order
+    G = loop_group(3, n)
+    orc = trd.split_oracle(G)
+    built = []
+    direct = G.root_group_elements
+    G.root_group_elements = lambda root: built.append(root) or direct(root)
+    roots = orc.windowed_roots(1)
+    for v in roots:
+        want = direct(G.vector_to_root(v))
+        first, second = orc.root_group_elements(v), orc.root_group_elements(list(v))
+        assert first == second == want and first is not second
+        first.reverse()
+        first.pop()
+        assert orc.root_group_elements(v) == want
+    assert sorted(built) == sorted({G.vector_to_root(v) for v in roots})
