@@ -261,13 +261,15 @@ def _dispatch_trd(args):
         if args.group != "su3":
             raise TwinrootError("the CLI exposes the su3 center-line basis; use --group su3")
         d = descent.su3_datum(args.q)
-        rep = trd.check_rsd(trd.su3_oracle(d), trd.center_line_basis(d), sample_budget=60, seed=seed)
+        rep = trd.check_rsd(trd.su3_oracle(d), trd.center_line_basis(d), sample_budget=60, seed=seed,
+                            search_radius=args.search_radius)
         _emit(rep.to_json())
         return 0 if rep.passed else 1
     orc = (trd.su3_oracle(descent.su3_datum(args.q)) if args.group == "su3"
            else trd.split_oracle(_group_of(args, f"trd {args.subverb} expects --group sl2, sl3 or su3")))
     if args.subverb == "check":
-        rep = trd.check_trd(orc, sample_budget=60, level_window=args.level_window, seed=seed)
+        rep = trd.check_trd(orc, sample_budget=60, level_window=args.level_window, seed=seed,
+                            search_radius=args.search_radius)
         _emit(rep.to_json())
         return 0 if rep.passed else 1
     graph = trd.building_ball(orc, +1, args.radius)  # twintree

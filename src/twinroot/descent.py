@@ -19,7 +19,6 @@ from .errors import (
     BadRoot,
     NotUnimodular,
     OracleInconsistent,
-    RankMismatch,
     TrivialElement,
 )
 from .fields import GF, GaloisField
@@ -226,8 +225,8 @@ class HermitianDescentDatum:
 
 @lru_cache(maxsize=None)
 def su3_datum(q: int, window: int = 8) -> HermitianDescentDatum:
-    if q not in (2, 3):
-        raise RankMismatch("unitary descent is implemented for q in {2, 3}")
+    """SU_3 over F_q for a prime q the field layer supports: GF(q, 1) raises
+    RankMismatch for any other q."""
     base = GF(q, 1)
     ext = GF(q, 2)
     ambient = LoopGroup(ext, 3, window)
@@ -262,61 +261,47 @@ class MaximalSplitSubgroup:
     datum: HermitianDescentDatum
     sl2: LoopGroup = dc_field(compare=False)
 
-    def embed_poly(self, p: LaurentPoly, twist: int) -> LaurentPoly:
-        e = self.datum.ext
-        out = {}
-        for exp, v in p.terms:  # base-p digit encoding: F_q is 0..q-1 inside F_{q^2}
-            out[exp] = e.mul(v, twist) if twist else v
-        return LaurentPoly.of(e, out)
-
-    def restrict_poly(self, p: LaurentPoly, untwist: int, base_field: GaloisField) -> LaurentPoly:
-        e = self.datum.ext
-        out = {}
-        for exp, v in p.terms:
-            if untwist:
-                v = e.mul(v, untwist)
-            if e.frobenius(v) != v or v >= base_field.q:
-                raise OracleInconsistent("entry does not restrict to the base field")
-            out[exp] = v
-        return LaurentPoly.of(base_field, out)
-
     def from_sl2(self, g: LaurentMatrix) -> LaurentMatrix:
-        """[[A,B],[C,D]] -> [[A,0,kB],[0,1,0],[k^-1 C,0,D]] (k = kappa)."""
+        """[[A,B],[C,D]] -> [[A,0,kB],[0,1,0],[k^-1 C,0,D]] (k = kappa).  The
+        base field's values 0..q-1 are the same elements of the extension
+        (base-p digits), so each entry is relabelled, then scaled."""
         d = self.datum
-        e = d.ext
-        kap = d.kappa
-        kinv = e.inv(kap)
+        e, kap = d.ext, d.kappa
+        (a, b), (c, dd) = ([LaurentPoly(e, p.terms) for p in row] for row in g.rows)
         zero, one = LaurentPoly.zero(e), LaurentPoly.one(e)
-        rows = (
-            (self.embed_poly(g.entry(0, 0), 0), zero, self.embed_poly(g.entry(0, 1), kap)),
-            (zero, one, zero),
-            (self.embed_poly(g.entry(1, 0), kinv), zero, self.embed_poly(g.entry(1, 1), 0)),
-        )
+        rows = ((a, zero, b.scale(kap)), (zero, one, zero), (c.scale(e.inv(kap)), zero, dd))
         return LaurentMatrix(e, 3, rows)
 
-    def to_sl2(self, g: LaurentMatrix) -> LaurentMatrix:
-        d = self.datum
-        e = d.ext
-        f = self.sl2.field
-        kap, kinv = d.kappa, e.inv(d.kappa)
-        if not self.contains(g):
-            raise OracleInconsistent("matrix is not in the maximal split subgroup")
-        rows = (
-            (self.restrict_poly(g.entry(0, 0), 0, f), self.restrict_poly(g.entry(0, 2), kinv, f)),
-            (self.restrict_poly(g.entry(2, 0), kap, f), self.restrict_poly(g.entry(2, 2), 0, f)),
-        )
-        return LaurentMatrix(f, 2, rows)
-
-    def contains(self, g: LaurentMatrix) -> bool:
+    def _untwisted_corners(self, g: LaurentMatrix):
+        """((A, B), (C, D)) with g = from_sl2 of it over the extension, or
+        None when g is not in F."""
         d = self.datum
         e = d.ext
         if not d.is_fixed(g) or not g.entry(1, 1).is_one():
-            return False
+            return None
         if any(not g.entry(i, j).is_zero() for i, j in ((0, 1), (1, 0), (1, 2), (2, 1))):
-            return False
+            return None
         # the corners, untwisted by kappa, must have base-field coefficients
-        corners = (g.entry(0, 0), g.entry(2, 2), g.entry(0, 2).scale(e.inv(d.kappa)), g.entry(2, 0).scale(d.kappa))
-        return all(e.frobenius(v) == v for p in corners for _, v in p.terms)
+        corners = (
+            (g.entry(0, 0), g.entry(0, 2).scale(e.inv(d.kappa))),
+            (g.entry(2, 0).scale(d.kappa), g.entry(2, 2)),
+        )
+        if any(e.frobenius(v) != v for row in corners for p in row for _, v in p.terms):
+            return None
+        return corners
+
+    def contains(self, g: LaurentMatrix) -> bool:
+        return self._untwisted_corners(g) is not None
+
+    def to_sl2(self, g: LaurentMatrix) -> LaurentMatrix:
+        """The SL_2 element of g in F.  A Frobenius-fixed value is below q in
+        the base-p digit encoding, so the untwisted corners are relabelled
+        into the base field as they are."""
+        corners = self._untwisted_corners(g)
+        if corners is None:
+            raise OracleInconsistent("matrix is not in the maximal split subgroup")
+        f = self.sl2.field
+        return LaurentMatrix(f, 2, tuple(tuple(LaurentPoly(f, p.terms) for p in row) for row in corners))
 
     def split_torus_elements(self) -> list[LaurentMatrix]:
         """diag(a, 1, a^-1) for a in the base field's units."""

@@ -1,8 +1,9 @@
 """Laurent polynomials and matrices over small finite fields, exactly.
 
-Polynomials are sparse (exponent -> nonzero coefficient value); matrices are
-immutable with explicit adjugate inversion for n <= 3.  Determinant-1 is the
-group condition checked by the callers in chevalley.
+Polynomials are sparse (exponent -> nonzero coefficient value); matrices of
+any size are immutable, with determinants and adjugates by cofactor expansion
+(`_minor`) and inversion by the adjugate.  Determinant-1 is the group
+condition checked by the callers in chevalley.
 """
 
 from __future__ import annotations
@@ -26,6 +27,26 @@ def _sum_of_products(field: GaloisField, products, start=()) -> "LaurentPoly":
                 e = e1 + e2
                 acc[e] = add[acc.get(e, 0)][row[v2]]
     return LaurentPoly(field, tuple(sorted((e, v) for e, v in acc.items() if v)))
+
+
+def _minor(field: GaloisField, rows, cols) -> "LaurentPoly":
+    """Determinant of rows (of polynomials) restricted to the columns cols,
+    by Laplace expansion along the first row: one fused sum of products per
+    expansion, and no sub-minor for a zero entry.  No rows give 1."""
+    if not rows:
+        return LaurentPoly.one(field)
+    first, rest = rows[0], rows[1:]
+    if not rest:
+        return first[cols[0]]
+    neg = field._neg
+    products = []
+    for k, c in enumerate(cols):
+        entry = first[c].terms
+        if entry:
+            if k % 2:
+                entry = tuple((e, neg[v]) for e, v in entry)
+            products.append((entry, _minor(field, rest, cols[:k] + cols[k + 1 :]).terms))
+    return _sum_of_products(field, products)
 
 
 @dataclass(frozen=True)
@@ -180,35 +201,18 @@ class LaurentMatrix:
         return LaurentMatrix(f, n, tuple(tuple(_sum_of_products(f, zip(r, c)) for c in cols) for r in rows))
 
     def det(self) -> LaurentPoly:
-        r = self.rows
-        if self.n == 1:
-            return r[0][0]
-        if self.n == 2:
-            return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        if self.n == 3:
-            return (
-                r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-            )
-        raise RankMismatch("determinant implemented for n <= 3")
+        return _minor(self.field, self.rows, tuple(range(self.n)))
 
     def adjugate(self) -> "LaurentMatrix":
-        r = self.rows
-        f = self.field
-        if self.n == 1:
-            return LaurentMatrix(f, 1, ((LaurentPoly.one(f),),))
-        if self.n == 2:
-            return LaurentMatrix(f, 2, ((r[1][1], -r[0][1]), (-r[1][0], r[0][0])))
-        if self.n == 3:
-            def c(i, j):
-                i1, i2 = [x for x in range(3) if x != i]
-                j1, j2 = [x for x in range(3) if x != j]
-                minor = r[i1][j1] * r[i2][j2] - r[i1][j2] * r[i2][j1]
-                return minor if (i + j) % 2 == 0 else -minor
+        """adj[i][j] = (-1)^(i+j) times the minor without row j and column i."""
+        n, f, rows = self.n, self.field, self.rows
+        cols = tuple(range(n))
 
-            return LaurentMatrix(f, 3, tuple(tuple(c(j, i) for j in range(3)) for i in range(3)))
-        raise RankMismatch("adjugate implemented for n <= 3")
+        def cofactor(i, j):
+            minor = _minor(f, rows[:j] + rows[j + 1 :], cols[:i] + cols[i + 1 :])
+            return -minor if (i + j) % 2 else minor
+
+        return LaurentMatrix(f, n, tuple(tuple(cofactor(i, j) for j in range(n)) for i in range(n)))
 
     def inverse(self) -> "LaurentMatrix":
         """adj / det, with det = row 0 times column 0 of the adjugate, so

@@ -1,12 +1,21 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from twinroot import weyl
-from twinroot.chevalley import loop_group
+from twinroot.chevalley import LoopGroup, loop_group
 from twinroot.descent import su3_datum
-from twinroot.errors import BadRoot, DegreeWindowExceeded, NotUnimodular, OracleInconsistent, TrivialElement
+from twinroot.errors import (
+    BadRoot,
+    DegreeWindowExceeded,
+    NotUnimodular,
+    OracleInconsistent,
+    RankMismatch,
+    TrivialElement,
+)
+from twinroot.fields import GF
 from twinroot.laurent import LaurentMatrix, LaurentPoly, diagonal, matrix_from_json
 
 # the groups whose radius-6 Weyl balls the pattern reader is checked on
@@ -35,7 +44,7 @@ def random_iwahori(G, rng, steps=4):
             units[0] = LaurentPoly.const(f, a)
             units[-1] = LaurentPoly.const(f, f.inv(a))
             out = out * diagonal(f, units)
-    assert G.in_positive_borel(out)
+    assert G.in_borel(1, out)
     return out
 
 
@@ -54,7 +63,7 @@ def random_negative_borel(G, rng, steps=4):
             units[0] = LaurentPoly.const(f, a)
             units[-1] = LaurentPoly.const(f, f.inv(a))
             out = out * diagonal(f, units)
-    assert G.in_negative_borel(out)
+    assert G.in_borel(-1, out)
     return out
 
 
@@ -196,9 +205,62 @@ def test_bruhat_round_trip_and_order_independence(rng):
         g = G.random_element(rng, steps=5)
         w, b1, b2 = G.bruhat_cell(g)
         assert b1 * G.canonical_representative(w) * b2 == g
-        assert G.in_positive_borel(b1) and G.in_positive_borel(b2)
+        assert G.in_borel(1, b1) and G.in_borel(1, b2)
         w2, _, _ = G.bruhat_cell(g, rng=random.Random(rng.randrange(10**6)))
         assert w2 == w
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 4), (2, 5)])
+def test_bruhat_round_trips_beyond_sl3(q, n):
+    G = loop_group(q, n)
+    rng = random.Random(f"bruhat-sl{n}/{q}")
+    for _ in range(30):
+        g = G.random_element(rng, steps=5)
+        w, b1, b2 = G.bruhat_cell(g)
+        assert b1 * G.canonical_representative(w) * b2 == g
+        assert G.in_borel(1, b1) and G.in_borel(1, b2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_affine_cartan_matrix_of_every_rank(n):
+    # the cyclic affine A_(n-1): not of finite type, and nodes 1..n-1 span the
+    # finite Weyl group S_n
+    A = loop_group(2, n).gcm
+    assert not weyl.is_finite(A)
+    assert weyl.group_order(A.submatrix(tuple(range(1, n)))) == math.factorial(n)
+    assert all(sum(row) == 0 for row in A.a)  # delta = (1, ..., 1) is imaginary
+
+
+def test_loop_groups_need_rank_two():
+    for n in (0, 1):
+        with pytest.raises(RankMismatch):
+            LoopGroup(GF(2), n)
+
+
+def mirror_loops_in_borel(G, sign, g):
+    """The two mirror-image Borel tests in_borel replaced."""
+    for i in range(G.n):
+        for j in range(G.n):
+            p = g.entry(i, j)
+            if sign > 0 and (not p.is_zero() and p.val < 0 or i > j and p.coeff(0) != 0):
+                return False
+            if sign < 0 and (not p.is_zero() and p.deg > 0 or i < j and p.coeff(0) != 0):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 3), (2, 4)])
+def test_in_borel_matches_the_mirror_loops(q, n):
+    G = loop_group(q, n)
+    rng = random.Random(f"borel/{q}/{n}")
+    seen = set()
+    for _ in range(40):
+        for g in (random_iwahori(G, rng), random_negative_borel(G, rng), G.random_element(rng, steps=3)):
+            for sign in (1, -1):
+                got = G.in_borel(sign, g)
+                assert got == mirror_loops_in_borel(G, sign, g)
+                seen.add((sign, got))
+    assert seen == {(1, True), (1, False), (-1, True), (-1, False)}
 
 
 def uncached_bruhat_cell(G, g, rng=None):

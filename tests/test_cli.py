@@ -204,6 +204,21 @@ def test_trd_check_cli(capsys):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "argv", [["trd", "check", "--group", "sl2", "--q", "3", "--level-window", "1"], ["trd", "rsd", "--group", "su3"]]
+)
+def test_trd_reports_use_the_search_radius(argv, capsys):
+    # the stderr echo and the report's config name the same radius
+    code, out, err = run(argv + ["--search-radius", "5"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["search_radius"] == 5
+    assert '"search_radius": 5' in err
+    _, default_out, _ = run(argv, capsys)
+    assert json.loads(default_out)["config"]["search_radius"] == 8
+    _, eight_out, _ = run(argv + ["--search-radius", "8"], capsys)
+    assert eight_out == default_out
+
+
 def test_group_bruhat_failed_factorization_is_a_typed_error(capsys, monkeypatch):
     # digits outside 0..p-1 are rejected when the matrix is read, before any
     # field table is indexed: exit 1, one error line, nothing on stdout

@@ -10,7 +10,7 @@ from twinroot.descent import (
     relative_root_group,
     su3_datum,
 )
-from twinroot.errors import BadRoot, NotUnimodular
+from twinroot.errors import BadRoot, NotUnimodular, OracleInconsistent, RankMismatch
 from twinroot.laurent import LaurentMatrix, LaurentPoly, diagonal
 
 
@@ -216,7 +216,7 @@ def test_mu_for_matches_the_two_branch_reference(q):
     assert checked == {2: 50, 3: 172}[q]  # 14 roots: 8 carried by node 0, 6 by node 1
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5])
 def test_maximal_split_subgroup(q):
     d = su3_datum(q)
     F = maximal_split_subgroup(d)
@@ -240,3 +240,34 @@ def test_maximal_split_subgroup(q):
         assert F.contains(t)
     if q == 3:
         assert any(not F.contains(z) for z in d.anisotropic_kernel_elements())
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_to_sl2_raises_outside_the_split_subgroup(q):
+    d = su3_datum(q)
+    e = d.ext
+    F = maximal_split_subgroup(d)
+    # non-central metabelian elements, and sigma-fixed diag(a, 1, 1/bar a)
+    # whose corner a lies outside the base field (determinant a / bar a != 1)
+    outside = [d.unipotent_upper(c, b) for c, b in d.metabelian_parameters() if c != 0]
+    unitary = [
+        diagonal(e, (LaurentPoly.const(e, a), LaurentPoly.one(e), LaurentPoly.const(e, e.inv(e.frobenius(a)))))
+        for a in e.units()
+        if e.frobenius(a) != a
+    ]
+    assert outside and unitary
+    for g in outside + unitary:
+        assert d.is_fixed(g) and not F.contains(g)
+        with pytest.raises(OracleInconsistent):
+            F.to_sl2(g)
+
+
+def test_su3_datum_takes_the_primes_of_the_field_layer():
+    with pytest.raises(RankMismatch):
+        su3_datum(4)
+    orc = trd.su3_oracle(su3_datum(5))
+    for sign in (+1, -1):
+        ball = trd.building_ball(orc, sign, 1)
+        assert ball.panel_sizes == {0: 6, 1: 126}
+        assert len(ball.chambers) == 1 + 5 + 125
+    assert trd.check_trd(orc, sample_budget=30, level_window=1, seed=0).passed

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,3 +236,33 @@ def test_arithmetic_rejects_mixed_fields():
             op(y)
     with pytest.raises(RankMismatch):
         LaurentMatrix.identity(GF(2, 1), 2) * LaurentMatrix.identity(GF(3, 1), 2)
+
+
+def leibniz_det(m):
+    """Sum over permutations of sign * product of entries, from LaurentPoly * and +."""
+    f, n = m.field, m.n
+    total = LaurentPoly.zero(f)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = LaurentPoly.one(f) if inversions % 2 == 0 else -LaurentPoly.one(f)
+        for i in range(n):
+            term = term * m.rows[i][perm[i]]
+        total = total + term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_det_and_adjugate_match_leibniz_for_every_size(data):
+    f = gf_of_order(data.draw(st.sampled_from(ORDERS)))
+    n = data.draw(st.integers(1, 4))
+    m = LaurentMatrix(f, n, tuple(tuple(data.draw(polys(f, n))) for _ in range(n)))
+    d = m.det()
+    assert d == leibniz_det(m)
+    det_identity = diagonal(f, (d,) * n)
+    assert m * m.adjugate() == det_identity == m.adjugate() * m
+    if d.is_monomial():
+        assert m * m.inverse() == LaurentMatrix.identity(f, n)
+    else:
+        with pytest.raises(NotUnimodular):
+            m.inverse()

@@ -34,6 +34,22 @@ def test_check_trd_split_groups():
     assert rep3.passed, rep3.to_json()
 
 
+def test_check_trd_sl4():
+    rep = trd.check_trd(trd.split_oracle(loop_group(2, 4)), sample_budget=30, level_window=1, seed=0)
+    assert rep.passed, rep.to_json()
+
+
+@pytest.mark.parametrize("q,n,count", [(2, 4, 49), (3, 4, 103), (2, 5, 71)])
+def test_sl_n_balls_have_q_to_the_length_chambers_per_cell(q, n, count):
+    G = loop_group(q, n)
+    orc = trd.split_oracle(G)
+    assert sum(q**w.length for w in weyl.enumerate_ball(G.gcm, 2)) == count
+    for sign in (+1, -1):
+        ball = trd.building_ball(orc, sign, 2)
+        assert len(ball.chambers) == count
+        assert ball.panel_sizes == {i: q + 1 for i in range(n)}
+
+
 def test_check_trd_spherical_sl2():
     # the finite group SL_2(F_3): window 0 keeps only the classical roots
     orc = sl2_oracle(3)
@@ -230,7 +246,7 @@ def test_normal_forms_unique_in_ball():
     G = loop_group(2, 2)
     for i, c in enumerate(ball.chambers):
         for c2 in ball.chambers[i + 1 :]:
-            assert not G.in_positive_borel(c.rep.inverse() * c2.rep)
+            assert not G.in_borel(1, c.rep.inverse() * c2.rep)
 
 
 def test_bruhat_partition_in_ball():
@@ -457,7 +473,8 @@ def _integrated_f_oracle():
     # SU_3(F_2) stops at radius 2: the reference takes over 4 s per sign at 3;
     # SL_2(F_4) at 3 and SU_3(F_3) at 1 for the same reason (about 10 s at
     # radius 4 and 2)
-    [("SL2(F2)", 3), ("SL2(F3)", 3), ("SL3(F2)", 3), ("SU3(F2)", 2), ("F", 3), ("SL2(F4)", 3), ("SU3(F3)", 1)],
+    [("SL2(F2)", 3), ("SL2(F3)", 3), ("SL3(F2)", 3), ("SU3(F2)", 2), ("F", 3), ("SL2(F4)", 3), ("SU3(F3)", 1),
+     ("SL4(F2)", 2)],
 )
 def test_building_ball_matches_linear_scan_reference(name, radius):
     orc = {
@@ -468,6 +485,7 @@ def test_building_ball_matches_linear_scan_reference(name, radius):
         "F": _integrated_f_oracle,
         "SL2(F4)": lambda: sl2_oracle(4),
         "SU3(F3)": lambda: su3_oracle(3),
+        "SL4(F2)": lambda: trd.split_oracle(loop_group(2, 4)),
     }[name]()
     for sign in (+1, -1):
         refs = linear_scan_balls(orc, sign, radius)
@@ -522,25 +540,39 @@ def test_ball_certificates_reject_faulty_oracles():
         trd.building_ball(length_key, +1, 3)
 
 
-def test_building_ball_on_rewired_sl3_root_groups():
-    # one simple root group of SL_3(F_2), of either sign, wired to another:
-    # the ball is the correct one or the walk raises.  On sign -1 some
-    # wirings show only as a non-ShortLex ascent that reaches no chamber.
-    orc = sl3_oracle(2)
+# Sign -1 has no per-chamber cell witness.  On SL_4(F_2) two wirings of
+# U_(-alpha_i) onto the orthogonal U_(alpha_(i+2)) build a sign -1 ball with
+# the right chambers but 83 edges instead of 84; a B_- w B_- key would catch them.
+SIGN_MINUS_UNSEEN_WIRINGS = {
+    3: set(),
+    4: {((-1, 0, 0, 0), (0, 0, 1, 0)), ((0, -1, 0, 0), (0, 0, 0, 1))},
+}
+
+
+@pytest.mark.parametrize("n,radius", [(3, 3), (4, 2)])
+def test_building_ball_on_rewired_simple_root_groups(n, radius):
+    # one simple root group of SL_n(F_2), of either sign, wired to another:
+    # the ball is the correct one or the walk raises, except for the listed
+    # sign -1 wirings.  On sign -1 some wirings show only as a non-ShortLex
+    # ascent that reaches no chamber.
+    orc = trd.split_oracle(loop_group(2, n))
     base = orc.root_group_elements
-    simple = [tuple(sgn * (k == i) for k in range(3)) for i in range(3) for sgn in (1, -1)]
-    good = {sign: trd.building_ball(orc, sign, 3).to_json() for sign in (+1, -1)}
-    misses = 0
+    simple = [tuple(sgn * (k == i) for k in range(n)) for i in range(n) for sgn in (1, -1)]
+    good = {sign: trd.building_ball(orc, sign, radius).to_json() for sign in (+1, -1)}
+    misses, unseen = 0, set()
     for src, dst in itertools.permutations(simple, 2):
         rewired = replace(orc, root_group_elements=lambda v, src=src, dst=dst: base(dst if v == src else v))
         for sign in (+1, -1):
             try:
-                ball = trd.building_ball(rewired, sign, 3)
+                ball = trd.building_ball(rewired, sign, radius)
             except OracleInconsistent as exc:
                 misses += sign < 0 and "matches no chamber" in str(exc)
             else:
-                assert ball.to_json() == good[sign], (src, dst, sign)
+                if ball.to_json() != good[sign]:
+                    assert sign < 0, (src, dst)
+                    unseen.add((src, dst))
     assert misses
+    assert unseen == SIGN_MINUS_UNSEEN_WIRINGS[n]
 
 
 def test_group_oracle_keeps_the_fields_callers_replace():
