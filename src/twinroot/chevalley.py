@@ -5,8 +5,11 @@ affine Cartan matrix, with cells computed from the relative position of
 period lattice flags (an exact invariant of the double coset) and the
 b1 * w * b2 factorization recovered by descent peeling, every step being a
 certified multiplication by root-group elements and canonical reflection
-representatives.  The quasi-split unitary descent built on top of SL_3
-lives in the descent module.
+representatives.  The twist theta(g) = J g(t^-1) J swaps B_+ and B_-, so
+the one Bruhat reader keys the chambers of both halves of the twin building
+(bruhat_key).  Inputs are held to the degree window +-WINDOW.  The
+quasi-split unitary descent, whose root groups and mu-maps at its affine
+node are SL_3's own, lives in the descent module.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .laurent import LaurentMatrix, LaurentPoly, diagonal, elementary
 from .weyl import WeylElement
 
 AffineRoot = tuple[int, int, int]  # (i, j, level): I + r t^level E_ij
+WINDOW = 8  # group elements span t-degrees within +-WINDOW
 
 
 class WordReps:
@@ -72,12 +76,11 @@ class WordReps:
 class LoopGroup:
     """SL_n over F_q[t, t^-1] with its affine BN-pair combinatorics."""
 
-    def __init__(self, field: GaloisField, n: int, window: int = 8):
+    def __init__(self, field: GaloisField, n: int):
         if n < 2:
             raise RankMismatch("loop groups need n >= 2")
         self.field = field
         self.n = n
-        self.window = window
         # the cyclic affine A_(n-1) Cartan matrix: -1 between cyclic
         # neighbours, -2 for n = 2, whose two nodes are neighbours twice
         link = -2 if n == 2 else -1
@@ -151,9 +154,14 @@ class LoopGroup:
         minus = self.root_group_element((j, i, -k), f.neg(f.inv(r)))
         return minus * self.root_group_element(root, r) * minus
 
-    def torus_diag(self, units) -> LaurentMatrix:
-        """diag of Laurent units; caller is responsible for det = 1."""
-        return diagonal(self.field, tuple(units))
+    def theta(self, g: LaurentMatrix) -> LaurentMatrix:
+        """J g(t^-1) J, J the antidiagonal permutation matrix: an involutive
+        automorphism that sends B_- to B_+ and keeps the degree span."""
+        f = self.field
+        return LaurentMatrix(f, self.n, tuple(
+            tuple(LaurentPoly(f, tuple((-e, v) for e, v in reversed(p.terms))) for p in reversed(row))
+            for row in reversed(g.rows)
+        ))
 
     def is_torus(self, g: LaurentMatrix) -> bool:
         for i in range(self.n):
@@ -208,19 +216,6 @@ class LoopGroup:
             raise OracleInconsistent("monomial matrix does not act as a Weyl element")
         return w
 
-    def weyl_from_monomial(self, m: LaurentMatrix) -> WeylElement:
-        """Abstract affine Weyl element of a monomial matrix, read off from
-        its pattern; OracleInconsistent if m is not monomial or no Weyl
-        element acts as it does.  Kept as the tests' independent reader of
-        monomial matrices; the library reads cells from jump profiles."""
-        pattern = []
-        for j in range(self.n):
-            nonzero = [(i, m.entry(i, j)) for i in range(self.n) if not m.entry(i, j).is_zero()]
-            if len(nonzero) != 1 or not nonzero[0][1].is_monomial():
-                raise OracleInconsistent("matrix is not monomial")
-            pattern.append((nonzero[0][0], nonzero[0][1].val))
-        return self._weyl_of_pattern(tuple(pattern))
-
     @lru_cache(maxsize=None)
     def _canonical_s(self, node: int) -> LaurentMatrix:
         return self.mu_map(self.simple_roots[node], 1)
@@ -247,9 +242,9 @@ class LoopGroup:
             raise RankMismatch(
                 f"expected a {self.n}x{self.n} matrix over {self.field}, got {g.n}x{g.n} over {g.field}"
             )
-        if g.max_degree_span() > self.window:
+        if g.max_degree_span() > WINDOW:
             raise DegreeWindowExceeded(
-                f"matrix spans t-degrees beyond the window +-{self.window}"
+                f"matrix spans t-degrees beyond the window +-{WINDOW}"
             )
         if not g.det().is_one():
             raise NotUnimodular("group elements must have determinant 1")
@@ -325,6 +320,11 @@ class LoopGroup:
         self._check_input(g)
         return self._cell(g, True)
 
+    def bruhat_key(self, sign: int, g: LaurentMatrix) -> tuple:
+        """The word of the cell of g B_sign: bruhat_weyl(g) on sign +1 and
+        bruhat_weyl(theta(g)) on sign -1, as theta(g B_-) = theta(g) B_+."""
+        return self.bruhat_weyl(g if sign > 0 else self.theta(g)).word
+
     def birkhoff_cell(self, g: LaurentMatrix) -> WeylElement:
         """w with g in B_+ w B_-."""
         self._check_input(g)
@@ -394,12 +394,12 @@ class LoopGroup:
                     e = rng.randint(-1, 1)
                     units[0] = LaurentPoly.monomial(self.field, e, a)
                     units[-1] = LaurentPoly.monomial(self.field, -e, self.field.inv(a))
-                    out = out * self.torus_diag(units)
-            if out.max_degree_span() <= self.window:
+                    out = out * diagonal(self.field, units)
+            if out.max_degree_span() <= WINDOW:
                 return out
         raise DegreeWindowExceeded("could not sample inside the degree window")
 
 
 @lru_cache(maxsize=None)
-def loop_group(q: int, n: int, window: int = 8) -> LoopGroup:
-    return LoopGroup(gf_of_order(q), n, window)
+def loop_group(q: int, n: int) -> LoopGroup:
+    return LoopGroup(gf_of_order(q), n)

@@ -2,10 +2,13 @@
 
 The Galois involution is sigma(g) = J (bar(g)^T)^{-1} J^{-1} with J the
 antidiagonal Hermitian form and bar the coefficientwise Frobenius; its fixed
-points form the quasi-split group.  The relative Weyl group is infinite
-dihedral: node 0 carries the abelian root group {I + r t E_20 : tr r = 0} of
-order q, node 1 the metabelian group {u(c,b) : b + bar b = -c bar c} of order
-q^3 whose center is the b-line.
+points form the quasi-split group, so every element is an element of the
+ambient SL_3 and is multiplied, inverted and keyed there.  The relative Weyl
+group is infinite dihedral: node 0 carries the abelian root group
+{I + r t E_20 : tr r = 0} of order q, a subgroup of the ambient affine root
+group (2, 0, 1) whose mu-map is the ambient one; node 1 carries the
+metabelian group {u(c,b) : b + bar b = -c bar c} of order q^3 whose center
+is the b-line, with mu-maps through its transpose u(c,b)^T.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from .errors import (
 )
 from .fields import GF, GaloisField
 from .gcm import AFFINE_A1, AFFINE_A2, GeneralizedCartanMatrix
-from .laurent import LaurentMatrix, LaurentPoly, diagonal, elementary
+from .laurent import LaurentMatrix, LaurentPoly, diagonal
 from .roots import carrier_word
 
 REL_GCM: GeneralizedCartanMatrix = AFFINE_A1  # infinite dihedral realization
 # orbits of the diagram flip 1 <-> 2 of the ambient affine A2; orbit k folds
 # to relative node k (cone.fold_word)
 REL_ORBITS = cone.orbits(AFFINE_A2, [(0, 2, 1)])
+AFFINE_NODE_ROOT = (2, 0, 1)  # the ambient root group I + r t E_20 of relative node 0 (tr r = 0)
 
 
 def _antidiag_form(ext: GaloisField) -> LaurentMatrix:
@@ -84,28 +88,6 @@ class HermitianDescentDatum:
         )
         return LaurentMatrix(e, 3, rows)
 
-    def unipotent_lower(self, z: int, y: int) -> LaurentMatrix:
-        """u_-(z, y) = [[1,0,0],[-bar z,1,0],[y,z,1]]; needs tr(y) = -N(z)."""
-        e = self.ext
-        if e.add(y, e.frobenius(y)) != e.neg(e.mul(z, e.frobenius(z))):
-            raise BadRoot("parameters violate the Hermitian trace condition")
-        zero, one = LaurentPoly.zero(e), LaurentPoly.one(e)
-        rows = (
-            (one, zero, zero),
-            (LaurentPoly.const(e, e.neg(e.frobenius(z))), one, zero),
-            (LaurentPoly.const(e, y), LaurentPoly.const(e, z), one),
-        )
-        return LaurentMatrix(e, 3, rows)
-
-    def affine_node_element(self, r: int, sign: int = 1) -> LaurentMatrix:
-        """I + r t E_20 (sign > 0) or I + r t^-1 E_02 (sign < 0); tr r = 0."""
-        e = self.ext
-        if e.trace(r) != 0:
-            raise BadRoot("affine node parameter must have trace zero")
-        if sign > 0:
-            return elementary(e, 3, 2, 0, LaurentPoly.monomial(e, 1, r))
-        return elementary(e, 3, 0, 2, LaurentPoly.monomial(e, -1, r))
-
     def metabelian_parameters(self):
         """The (c, b) with tr(b) = -N(c), c-major: the parameters of u(c, b)."""
         e = self.ext
@@ -115,7 +97,8 @@ class HermitianDescentDatum:
     # --- mu-maps (closed forms, verified in the test-suite) ------------------
 
     def mu_metabelian(self, c: int, b: int) -> LaurentMatrix:
-        """m(u(c,b)) = u_-(bar c / bar b, 1/bar b) u(c,b) u_-(bar c / b, 1/bar b)."""
+        """m(u(c,b)) = u_-(bar c / bar b, 1/bar b) u(c,b) u_-(bar c / b, 1/bar b),
+        with u_-(z, y) = u(z, y)^T."""
         e = self.ext
         if b == 0 and c == 0:
             raise TrivialElement("mu-map of the trivial element")
@@ -123,21 +106,14 @@ class HermitianDescentDatum:
             raise OracleInconsistent("nontrivial u(c, b) always has b != 0")
         bbar = e.frobenius(b)
         cbar = e.frobenius(c)
-        left = self.unipotent_lower(e.mul(cbar, e.inv(bbar)), e.inv(bbar))
-        right = self.unipotent_lower(e.mul(cbar, e.inv(b)), e.inv(bbar))
+        left = self.unipotent_upper(e.mul(cbar, e.inv(bbar)), e.inv(bbar)).transpose()
+        right = self.unipotent_upper(e.mul(cbar, e.inv(b)), e.inv(bbar)).transpose()
         return left * self.unipotent_upper(c, b) * right
-
-    def mu_affine(self, r: int) -> LaurentMatrix:
-        if r == 0:
-            raise TrivialElement("mu-map of the trivial element")
-        e = self.ext
-        minus = self.affine_node_element(e.neg(e.inv(r)), sign=-1)
-        return minus * self.affine_node_element(r) * minus
 
     @cached_property
     def s0(self) -> LaurentMatrix:
         """Canonical reflection representative for relative node 0."""
-        return self.mu_affine(self.ext.inv(self.kappa))
+        return self.ambient.mu_map(AFFINE_NODE_ROOT, self.ext.inv(self.kappa))
 
     @cached_property
     def s1(self) -> LaurentMatrix:
@@ -157,7 +133,7 @@ class HermitianDescentDatum:
     def simple_root_group(self, node: int):
         """All elements of the positive simple relative root group (finite)."""
         if node == 0:
-            return [self.affine_node_element(r) for r in self.ext.trace_zero()]
+            return [self.ambient.root_group_element(AFFINE_NODE_ROOT, r) for r in self.ext.trace_zero()]
         return [self.unipotent_upper(c, b) for c, b in self.metabelian_parameters()]
 
     def simple_root_group_center(self, node: int):
@@ -189,16 +165,13 @@ class HermitianDescentDatum:
 
     def _mu_simple(self, node: int, u: LaurentMatrix) -> LaurentMatrix:
         if node == 0:
-            p = u.entry(2, 0)
-            if p.is_zero():
-                raise TrivialElement("mu-map of the trivial element")
-            return self.mu_affine(p.coeff(1))
+            return self.ambient.mu_map(AFFINE_NODE_ROOT, u.entry(2, 0).coeff(1))
         return self.mu_metabelian(u.entry(1, 2).coeff(0), u.entry(0, 2).coeff(0))
 
     # --- torus ---------------------------------------------------------------
 
-    def torus_element(self, a: int, m: int = 0) -> LaurentMatrix:
-        """diag(a t^m, bar(a)/a, bar(a)^{-1} t^{-m})."""
+    def torus_element(self, a: int) -> LaurentMatrix:
+        """diag(a, bar(a)/a, bar(a)^{-1})."""
         e = self.ext
         if a == 0:
             raise BadRoot("torus parameter must be a unit")
@@ -206,9 +179,9 @@ class HermitianDescentDatum:
         return diagonal(
             e,
             (
-                LaurentPoly.monomial(e, m, a),
+                LaurentPoly.const(e, a),
                 LaurentPoly.const(e, e.mul(abar, e.inv(a))),
-                LaurentPoly.monomial(e, -m, e.inv(abar)),
+                LaurentPoly.const(e, e.inv(abar)),
             ),
         )
 
@@ -224,12 +197,12 @@ class HermitianDescentDatum:
 
 
 @lru_cache(maxsize=None)
-def su3_datum(q: int, window: int = 8) -> HermitianDescentDatum:
+def su3_datum(q: int) -> HermitianDescentDatum:
     """SU_3 over F_q for a prime q the field layer supports: GF(q, 1) raises
     RankMismatch for any other q."""
     base = GF(q, 1)
     ext = GF(q, 2)
-    ambient = LoopGroup(ext, 3, window)
+    ambient = LoopGroup(ext, 3)
     return HermitianDescentDatum(q, base, ext, ambient, _antidiag_form(ext))
 
 
@@ -314,4 +287,4 @@ class MaximalSplitSubgroup:
 
 
 def maximal_split_subgroup(d: HermitianDescentDatum) -> MaximalSplitSubgroup:
-    return MaximalSplitSubgroup(d, loop_group(d.q, 2, d.ambient.window))
+    return MaximalSplitSubgroup(d, loop_group(d.q, 2))

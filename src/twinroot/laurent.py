@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import NotUnimodular, RankMismatch, UnknownFormat
 from .fields import GaloisField
+from .gcm import _is_int
 
 
 def _sum_of_products(field: GaloisField, products, start=()) -> "LaurentPoly":
@@ -102,10 +103,6 @@ class LaurentPoly:
     def val(self) -> int:
         """Lowest exponent (raises on the zero polynomial)."""
         return self.terms[0][0]
-
-    @property
-    def deg(self) -> int:
-        return self.terms[-1][0]
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if other.field is not self.field:
@@ -242,9 +239,6 @@ class LaurentMatrix:
             self.field, self.n, tuple(tuple(p.bar() for p in row) for row in self.rows)
         )
 
-    def is_identity(self) -> bool:
-        return self == LaurentMatrix.identity(self.field, self.n)
-
     def max_degree_span(self) -> int:
         exps = [e for row in self.rows for p in row for e, _ in p.terms]
         return max((abs(e) for e in exps), default=0)
@@ -260,11 +254,6 @@ class LaurentMatrix:
 
     def __repr__(self):
         return "[" + "; ".join(", ".join(str(p) for p in row) for row in self.rows) + "]"
-
-
-def _is_int(x) -> bool:
-    # JSON true/false arrive as bool, a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def matrix_from_json(field: GaloisField, data) -> LaurentMatrix:

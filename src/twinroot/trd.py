@@ -45,7 +45,7 @@ class GroupOracle:
     mu: object  # (vector, u) -> matrix
     canonical_s: object  # node -> matrix
     birkhoff: object  # g -> WeylElement over gcm
-    bruhat_key: object  # g -> hashable, constant on g B_+
+    bruhat_key: object  # (sign, g) -> hashable, constant on g B_sign
     # fields, not methods, so a caller can count or wrap them via dataclasses.replace
     mul: object = operator.mul
     inv: object = LaurentMatrix.inverse
@@ -67,7 +67,7 @@ class GroupOracle:
         return out
 
 
-def split_oracle(group: LoopGroup, name: str = None) -> GroupOracle:
+def split_oracle(group: LoopGroup) -> GroupOracle:
     built = functools.cache(lambda root: tuple(group.root_group_elements(root)))  # once per root, built directly
 
     def root_elems(vector):
@@ -82,7 +82,7 @@ def split_oracle(group: LoopGroup, name: str = None) -> GroupOracle:
         return group.mu_map(triple, p.coeff(k))
 
     return GroupOracle(
-        name=name or f"sl{group.n}(F{group.field.q}[t,t^-1])",
+        name=f"sl{group.n}(F{group.field.q}[t,t^-1])",
         gcm=group.gcm,
         identity=group.identity(),
         is_torus=group.is_torus,
@@ -91,7 +91,7 @@ def split_oracle(group: LoopGroup, name: str = None) -> GroupOracle:
         mu=mu,
         canonical_s=group._canonical_s,
         birkhoff=group.birkhoff_cell,
-        bruhat_key=lambda g: group.bruhat_weyl(g).word,
+        bruhat_key=group.bruhat_key,
     )
 
 
@@ -111,7 +111,7 @@ def su3_oracle(d: HermitianDescentDatum) -> GroupOracle:
         mu=d.mu_for,
         canonical_s=d.canonical_s,
         birkhoff=birkhoff,
-        bruhat_key=lambda g: amb.bruhat_weyl(g).word,
+        bruhat_key=amb.bruhat_key,
     )
 
 
@@ -500,10 +500,10 @@ class IntegratedSubgroup:
     F_gamma = w-conjugates of the basis groups.  Codistances are the ambient
     oracle's unless `birkhoff` replaces them (see integrate_subdatum)."""
 
-    def __init__(self, oracle: GroupOracle, basis: RsdBasis, birkhoff=None, name=None):
+    def __init__(self, oracle: GroupOracle, basis: RsdBasis, birkhoff=None):
         self.ambient = oracle
         self.basis = basis
-        self.name = name or f"F<{basis.name}>"
+        self.name = f"F<{basis.name}>"
         self._birkhoff = birkhoff or oracle.birkhoff
         self.s_hat = basis.reflections(oracle)
         self.reps = WordReps(oracle.identity, self.s_hat.__getitem__)
@@ -647,7 +647,7 @@ class IntegratedSubgroup:
         return v1, w, m_hat, v2
 
 
-def integrate_subdatum(oracle: GroupOracle, basis: RsdBasis, birkhoff=None, name=None):
+def integrate_subdatum(oracle: GroupOracle, basis: RsdBasis, birkhoff=None):
     """The subgroup integrated from an RSD basis.
 
     `birkhoff`, a replacement for the ambient codistance map, has one
@@ -655,7 +655,7 @@ def integrate_subdatum(oracle: GroupOracle, basis: RsdBasis, birkhoff=None, name
     map on the center-line and subfield bases (tests/test_integration.py);
     it can go when that benchmark file next changes.
     """
-    return IntegratedSubgroup(oracle, basis, birkhoff=birkhoff, name=name)
+    return IntegratedSubgroup(oracle, basis, birkhoff=birkhoff)
 
 
 # --- twin building balls ------------------------------------------------------------
@@ -724,12 +724,9 @@ def building_ball(oracle: GroupOracle, sign: int, radius: int) -> ChamberGraph:
     its projection, the chamber of the panel closest to the base chamber.
 
     - If w + (i,) is the ShortLex word of w s_i, each move gives the new
-      chamber (w + (i,), params + (p,)) with no lookup.  On sign +1 its
-      Bruhat key must equal the key of the s_hat product along its word,
-      and distinct words must have distinct keys.  Sign -1 has no such
-      witness (the Birkhoff cell is the codistance to B_+, which varies
-      along one gallery word); it rests on the panel certificates, the
-      lookups below and the BN-pair checks of check_trd.
+      chamber (w + (i,), params + (p,)) with no lookup.  Its cell key
+      (oracle.bruhat_key on this sign) must equal the key of the s_hat
+      product along its word, and distinct words must have distinct keys.
     - Otherwise the target already exists: the frontier is in lexicographic
       order of (letter, param) sequences, and two minimal galleries to one
       chamber agree up to their first differing letter, so its ShortLex
@@ -737,7 +734,7 @@ def building_ball(oracle: GroupOracle, sign: int, radius: int) -> ChamberGraph:
       the ShortLex word of w s_i by a Borel test of target^-1 rep; a miss
       raises OracleInconsistent.
     """
-    key = oracle.bruhat_key
+    key = functools.partial(oracle.bruhat_key, sign)
     reps = WordReps(oracle.identity, oracle.canonical_s)
     moves = {}
     for node in range(oracle.gcm.n):
@@ -784,7 +781,7 @@ def building_ball(oracle: GroupOracle, sign: int, radius: int) -> ChamberGraph:
                         else:
                             raise OracleInconsistent(f"chamber {gallery}|{params} matches no chamber named by {word}")
                     else:
-                        if sign > 0 and key(target) != cell_of(word):
+                        if key(target) != cell_of(word):
                             raise OracleInconsistent(
                                 f"chamber {word}|{params} lies outside the cell of its gallery word"
                             )

@@ -176,9 +176,6 @@ class WeylElement:
     def inverse(self) -> "WeylElement":
         return _from_matrices(self.gcm, self.inv, self.mat)
 
-    def is_identity(self) -> bool:
-        return not self.word
-
     def __repr__(self):
         return f"W{list(self.word)}"
 

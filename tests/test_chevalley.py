@@ -5,7 +5,7 @@ import random
 import pytest
 
 from twinroot import weyl
-from twinroot.chevalley import LoopGroup, loop_group
+from twinroot.chevalley import WINDOW, LoopGroup, loop_group
 from twinroot.descent import su3_datum
 from twinroot.errors import (
     BadRoot,
@@ -69,7 +69,7 @@ def random_negative_borel(G, rng, steps=4):
 
 def test_root_group_element_basics():
     G = loop_group(2, 2)
-    assert G.root_group_element((0, 1, 0), 0).is_identity()
+    assert G.root_group_element((0, 1, 0), 0) == G.identity()
     u = G.root_group_element((0, 1, 0), 1)
     assert u.entry(0, 1).is_one() and u.entry(0, 0).is_one()
     with pytest.raises(BadRoot):
@@ -143,7 +143,7 @@ def test_mu_conjugates_root_groups(rng):
 def test_bruhat_identity_and_reflection():
     G = loop_group(2, 2)
     w, b1, b2 = G.bruhat_cell(G.identity())
-    assert w.is_identity() and b1.is_identity() and b2.is_identity()
+    assert w.word == () and b1 == b2 == G.identity()
     s_hat = G._canonical_s(1)
     assert G.bruhat_weyl(s_hat).word == (1,)
     assert G.bruhat_weyl(G.root_group_element((1, 0, 1), 1)).word == ()
@@ -172,7 +172,7 @@ def test_bruhat_cells_recover_constructed_elements(q, n):
             b1 = random_iwahori(G, rng)
             b2 = random_iwahori(G, rng)
             g = b1 * G.canonical_representative(w) * b2
-            if g.max_degree_span() > G.window:
+            if g.max_degree_span() > WINDOW:
                 continue
             assert G.bruhat_weyl(g) == w
 
@@ -187,15 +187,15 @@ def test_birkhoff_cells_recover_constructed_elements(q, n):
             b1 = random_iwahori(G, rng)
             b2 = random_negative_borel(G, rng)
             g = b1 * G.canonical_representative(w) * b2
-            if g.max_degree_span() > G.window:
+            if g.max_degree_span() > WINDOW:
                 continue
             assert G.birkhoff_cell(g) == w
 
 
 def test_birkhoff_examples():
     G = loop_group(2, 2)
-    assert G.birkhoff_cell(G.identity()).is_identity()
-    assert G.birkhoff_cell(G.root_group_element((1, 0, 1), 1)).is_identity()
+    assert G.birkhoff_cell(G.identity()).word == ()
+    assert G.birkhoff_cell(G.root_group_element((1, 0, 1), 1)).word == ()
     assert G.birkhoff_cell(G._canonical_s(1)).word == (1,)
 
 
@@ -244,7 +244,7 @@ def mirror_loops_in_borel(G, sign, g):
             p = g.entry(i, j)
             if sign > 0 and (not p.is_zero() and p.val < 0 or i > j and p.coeff(0) != 0):
                 return False
-            if sign < 0 and (not p.is_zero() and p.deg > 0 or i < j and p.coeff(0) != 0):
+            if sign < 0 and (not p.is_zero() and p.terms[-1][0] > 0 or i < j and p.coeff(0) != 0):
                 return False
     return True
 
@@ -261,6 +261,28 @@ def test_in_borel_matches_the_mirror_loops(q, n):
                 assert got == mirror_loops_in_borel(G, sign, g)
                 seen.add((sign, got))
     assert seen == {(1, True), (1, False), (-1, True), (-1, False)}
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3), (2, 4)])
+def test_theta_swaps_the_borels_and_keys_negative_cosets(q, n):
+    # theta(g) = J g(t^-1) J is an involutive automorphism with
+    # theta(B_-) = B_+, so bruhat_key(-1, .) is constant on each coset g B_-
+    G = loop_group(q, n)
+    rng = random.Random(f"theta/{q}/{n}")
+    seen, keyed = set(), 0
+    for _ in range(30):
+        g, h = G.random_element(rng, steps=4), G.random_element(rng, steps=4)
+        assert G.theta(G.theta(g)) == g
+        assert G.theta(g * h) == G.theta(g) * G.theta(h)
+        for x in (g, random_negative_borel(G, rng), random_iwahori(G, rng)):
+            got = G.in_borel(-1, x)
+            assert got == G.in_borel(1, G.theta(x))
+            seen.add(got)
+        gb = g * random_negative_borel(G, rng)
+        if gb.max_degree_span() <= WINDOW:
+            assert G.bruhat_key(-1, gb) == G.bruhat_key(-1, g)
+            keyed += 1
+    assert seen == {True, False} and keyed >= 20
 
 
 def uncached_bruhat_cell(G, g, rng=None):
@@ -301,9 +323,9 @@ def test_bruhat_cell_matches_uncached_probes(q, n):
 
 
 def test_degree_window_guard():
-    G = loop_group(2, 2, window=3)
+    G = loop_group(2, 2)
     f = G.field
-    d = diagonal(f, (LaurentPoly.monomial(f, 4, 1), LaurentPoly.monomial(f, -4, 1)))
+    d = diagonal(f, (LaurentPoly.monomial(f, WINDOW + 1, 1), LaurentPoly.monomial(f, -WINDOW - 1, 1)))
     with pytest.raises(DegreeWindowExceeded):
         G.bruhat_weyl(d)
 
@@ -461,7 +483,7 @@ def test_weyl_from_monomial_consistency():
     for q, n in PATTERN_GROUPS:
         G = loop_group(q, n)
         for w in weyl.enumerate_ball(G.gcm, 6):
-            assert G.weyl_from_monomial(G.canonical_representative(w)) == w
+            assert G.bruhat_weyl(G.canonical_representative(w)) == w
 
 
 @pytest.mark.parametrize("q,n", PATTERN_GROUPS)
@@ -470,7 +492,7 @@ def test_pattern_reader_matches_conjugation_reference(q, n):
     for w in weyl.enumerate_ball(G.gcm, 6):
         rep = G.canonical_representative(w)
         for m in [rep] + [rep * h for h in torus_translations(G)]:
-            got, want = G.weyl_from_monomial(m), reference_weyl_from_monomial(G, m)
+            got, want = G.bruhat_weyl(m), reference_weyl_from_monomial(G, m)
             assert (got.word, got.mat, got.inv) == (want.word, want.mat, want.inv)
 
 
@@ -489,15 +511,19 @@ def test_pattern_reader_edge_cases():
     G = loop_group(2, 2)
     f = G.field
     one, zero, t = LaurentPoly.one(f), LaurentPoly.zero(f), LaurentPoly.monomial(f, 1, 1)
-    rotation = LaurentMatrix(f, 2, ((zero, one), (t, zero)))  # extended affine, not in W
-    for read in (G.weyl_from_monomial, lambda m: reference_weyl_from_monomial(G, m)):
-        with pytest.raises(OracleInconsistent):
-            read(rotation)
+    # extended affine, not in W: its pattern (column j is a unit times
+    # t^(e_j) e_(pi(j))) and the matrix itself
+    with pytest.raises(OracleInconsistent):
+        G._weyl_of_pattern(((1, 1), (0, 0)))
+    with pytest.raises(OracleInconsistent):
+        reference_weyl_from_monomial(G, LaurentMatrix(f, 2, ((zero, one), (t, zero))))
     translation = diagonal(f, (t, LaurentPoly.monomial(f, -1, 1)))
-    assert G.weyl_from_monomial(translation) == weyl.from_word(G.gcm, (1, 0))
-    for not_monomial in (((one, one), (zero, one)), ((one, one), (one, one))):
+    for read in (G.bruhat_weyl, lambda m: reference_weyl_from_monomial(G, m)):
+        assert read(translation) == weyl.from_word(G.gcm, (1, 0))
+    # rows that do not form a permutation
+    for not_permutation in (((0, 0), (0, 0)), ((1, 0), (1, 2))):
         with pytest.raises(OracleInconsistent):
-            G.weyl_from_monomial(LaurentMatrix(f, 2, not_monomial))
+            G._weyl_of_pattern(not_permutation)
 
 
 def test_affine_root_positivity_convention():
@@ -537,9 +563,9 @@ def test_borel_elements_sit_in_the_identity_cell(rng):
         local = random.Random(300 + q + n)
         for _ in range(20):
             b = random_iwahori(G, local)
-            assert G.bruhat_weyl(b).is_identity()
+            assert G.bruhat_weyl(b).word == ()
             bm = random_negative_borel(G, local)
-            assert G.birkhoff_cell(bm).is_identity()
+            assert G.birkhoff_cell(bm).word == ()
 
 
 def test_determinant_preserved_by_constructors(rng):

@@ -49,12 +49,13 @@ def test_is_fixed_matches_sigma(q):
     d = su3_datum(q)
     ext = d.ext
     outside = next(a for a in ext.units() if ext.frobenius(a) != a)
-    fixed = (
-        d.simple_root_group(0) + d.root_group((0, -1))
-        + d.anisotropic_kernel_elements() + [d.torus_element(a, m) for a in ext.units() for m in (-1, 2)]
-    )
     one, zero = LaurentPoly.one(ext), LaurentPoly.zero(ext)
     mono = lambda e, c: LaurentPoly.monomial(ext, e, c)
+    # diag(a t^m, bar(a)/a, bar(a)^-1 t^-m)
+    translated = [
+        d.torus_element(a) * diagonal(ext, (mono(m, 1), one, mono(-m, 1))) for a in ext.units() for m in (-1, 2)
+    ]
+    fixed = d.simple_root_group(0) + d.root_group((0, -1)) + d.anisotropic_kernel_elements() + translated
     split_torus = diagonal(ext, (mono(1, outside), mono(-1, ext.inv(outside)), one))
     moved = [d.ambient.root_group_element((0, 1, 0), outside), split_torus]
     rng = random.Random(13)
@@ -164,7 +165,7 @@ def test_mu_maps_are_low_triple_products(q):
     for r in e.trace_zero():
         if r == 0:
             continue
-        m = d.mu_affine(r)
+        m = d.ambient.mu_map((2, 0, 1), r)
         assert m.entry(2, 0).coeff(1) == r
         assert m.entry(1, 1).is_one()
 

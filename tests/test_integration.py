@@ -17,14 +17,14 @@ def center_line_setup(q=2):
     d = su3_datum(q)
     orc = trd.su3_oracle(d)
     basis = trd.center_line_basis(d)
-    integ = trd.integrate_subdatum(orc, basis, name="F(center-line)")
+    integ = trd.integrate_subdatum(orc, basis)
     return d, maximal_split_subgroup(d), orc, basis, integ
 
 
 def subfield_setup():
     G9, basis = subfield_basis()
     orc = trd.split_oracle(G9)
-    integ = trd.integrate_subdatum(orc, basis, name="F(subfield)")
+    integ = trd.integrate_subdatum(orc, basis)
     return G9, loop_group(3, 2), orc, basis, integ
 
 
@@ -163,7 +163,7 @@ def test_vwv_examples_and_random_words():
     d, F, orc, basis, integ = center_line_setup(2)
     tau = F.split_torus_elements()[0]
     v1, w, m_hat, v2 = integ.vwv_normal_form([("torus", tau)])
-    assert w.is_identity() and v1.is_identity() and v2.is_identity()
+    assert w.word == () and v1 == v2 == orc.identity
     e = basis.nontrivial(orc, 1)[0]
     _, w, _, _ = integ.vwv_normal_form([("s", 1), ("e", 1, e)])
     assert w.word == (1,)
@@ -305,7 +305,8 @@ def test_root_group_lists_match_the_conjugation_loop():
 
     def simple(node, positive, center):
         if node == 0:
-            return [d.affine_node_element(r, 1 if positive else -1) for r in d.ext.trace_zero()]
+            root = (2, 0, 1) if positive else (0, 2, -1)
+            return [d.ambient.root_group_element(root, r) for r in d.ext.trace_zero()]
         if center:
             ups = [d.unipotent_upper(0, b) for b in d.ext.trace_zero()]
         else:

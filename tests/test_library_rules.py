@@ -2,13 +2,22 @@
 under python -O), no bare except or except Exception/BaseException (they
 swallow faults instead of naming them), and no error class that no module
 raises or catches.  Only the CLI imports inside functions, so each verb loads
-the layers it runs; library modules keep their import graph at module level."""
+the layers it runs; library modules keep their import graph at module level.
+Every function, method and class has a caller in the package, the demos or
+the benchmark, so no API lingers that only tests reach."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "twinroot"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "twinroot"
 BROAD = {"Exception", "BaseException"}
+# names the library keeps with no caller in src, demos or bench
+KEPT_WITHOUT_CALLER = {
+    "root_group_center": "criterion 11 compares F's root groups with SU3's root-group centers",
+    "datum_from_json": "it reads the JSON that `twinroot gcm sc|adjoint|dual` print",
+}
 
 
 def _name(node):
@@ -102,3 +111,64 @@ def test_local_import_scan_sees_each_kind():
         "async def g():\n    def h():\n        from .trd import check_trd\n"
     )
     assert sorted(set(local_imports(ast.parse(text)))) == [4, 7, 10]
+
+
+def definitions(tree):
+    """(name, first line, last line) of each function, method and class;
+    dunder methods are left out, as Python calls them."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node.lineno, node.end_lineno
+
+
+def mentions(tree, strings: bool):
+    """(name, line) of each name and attribute read, and with strings=True
+    each word of each string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for word in re.findall(r"\w+", node.value):
+                yield word, node.lineno
+
+
+def unmentioned(texts, library, string_files=()):
+    """The definitions in the library files that no file of texts (path ->
+    source) names outside the definition itself.  A file in string_files
+    names the words of its strings too."""
+    trees = {path: ast.parse(text, filename=str(path)) for path, text in texts.items()}
+    named = {}
+    for path, tree in trees.items():
+        for name, line in mentions(tree, path in string_files):
+            named.setdefault(name, []).append((path, line))
+    return [
+        f"{path}:{first}: {name}"
+        for path in library
+        for name, first, last in sorted(definitions(trees[path]), key=lambda d: d[1])
+        if all(p == path and first <= line <= last for p, line in named.get(name, ()))
+    ]
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    library = sorted(SRC.rglob("*.py"))
+    others = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    texts = {path: path.read_text(encoding="utf-8") for path in library + others}
+    found = unmentioned(texts, library, string_files={ROOT / "bench" / "spans.py"})
+    assert sorted(line.rsplit(": ", 1)[1] for line in found) == sorted(KEPT_WITHOUT_CALLER)
+
+
+def test_caller_scan_on_a_small_text():
+    lib = (
+        "class Used:\n    def __init__(self):\n        pass\n    def method(self):\n        return self.method()\n"
+        "def helper():\n    def inner():\n        return 1\n    return inner()\n"
+        "def traced():\n    pass\n"
+        "def lonely(n):\n    return lonely(n - 1)\n"
+    )
+    user = "from lib import Used, helper\nUsed()\nhelper()\n"
+    spans = 'NAMES = ["lib.traced"]\n'
+    texts = {"lib.py": lib, "user.py": user, "spans.py": spans}
+    assert unmentioned(texts, ["lib.py"], string_files={"spans.py"}) == ["lib.py:4: method", "lib.py:12: lonely"]
+    assert unmentioned(texts, ["lib.py"]) == ["lib.py:4: method", "lib.py:10: traced", "lib.py:12: lonely"]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from dataclasses import fields, replace
@@ -263,7 +264,7 @@ def test_codistance_examples():
     G = loop_group(2, 2)
     base_plus = trd.TwinChamber(+1, (), (), G.identity())
     base_minus = trd.TwinChamber(-1, (), (), G.identity())
-    assert trd.codistance(orc, base_plus, base_minus).is_identity()
+    assert trd.codistance(orc, base_plus, base_minus).word == ()
     s_chamber = trd.TwinChamber(+1, (1,), (0,), G._canonical_s(1))
     assert trd.codistance(orc, s_chamber, base_minus).word == (1,)
     with pytest.raises(SameSign):
@@ -420,8 +421,10 @@ def linear_scan_balls(oracle, sign, radius):
     one ChamberGraph per radius 0..radius (the walk to radius r runs the
     first r layers): root groups asked again at every chamber, and a target
     matched by scanning every chamber with its coset key, inverting that
-    chamber's representative at each test."""
-    key = oracle.bruhat_key if sign > 0 else lambda g: oracle.birkhoff(g).word
+    chamber's representative at each test.  Sign -1 keys by the Birkhoff
+    cell, not by the oracle's sign -1 key, so the reference does not rest on
+    the twist that key uses."""
+    key = functools.partial(oracle.bruhat_key, 1) if sign > 0 else lambda g: oracle.birkhoff(g).word
     ident = oracle.identity
     chambers = [trd.TwinChamber(sign, (), (), ident)]
     keys = [key(ident)]
@@ -524,8 +527,7 @@ def test_ball_certificates_reject_faulty_oracles():
     orc = sl2_oracle(3)
     base = orc.root_group_elements
     s1_inv = orc.inv(orc.canonical_s(1))
-    # one move across the 1-panel of B_- is the identity (sign -1 has no cell
-    # witness, so only the panel certificate sees it)
+    # one move across the 1-panel of B_- is the identity
     move_in_borel = replace(orc, root_group_elements=lambda v: [s1_inv] + base(v)[1:] if v == (0, -1) else base(v))
     with pytest.raises(OracleInconsistent, match="lies in B_-1"):
         trd.building_ball(move_in_borel, -1, 3)
@@ -535,44 +537,55 @@ def test_ball_certificates_reject_faulty_oracles():
     with pytest.raises(OracleInconsistent, match="outside the cell of its gallery word"):
         trd.building_ball(wrong_root, +1, 3)
     # a Bruhat key that keeps only the length cannot tell s_0 from s_1
-    length_key = replace(orc, bruhat_key=lambda g: len(orc.bruhat_key(g)))
+    length_key = replace(orc, bruhat_key=lambda sign, g: len(orc.bruhat_key(sign, g)))
     with pytest.raises(OracleInconsistent, match="share the coset key"):
         trd.building_ball(length_key, +1, 3)
+    # a Borel test that never holds finds no chamber at a non-ShortLex ascent
+    never_in_borel = replace(sl3, in_borel=lambda sign, g: False)
+    for sign in (+1, -1):
+        with pytest.raises(OracleInconsistent, match="matches no chamber"):
+            trd.building_ball(never_in_borel, sign, 3)
 
 
-# Sign -1 has no per-chamber cell witness.  On SL_4(F_2) two wirings of
-# U_(-alpha_i) onto the orthogonal U_(alpha_(i+2)) build a sign -1 ball with
-# the right chambers but 83 edges instead of 84; a B_- w B_- key would catch them.
-SIGN_MINUS_UNSEEN_WIRINGS = {
-    3: set(),
-    4: {((-1, 0, 0, 0), (0, 0, 1, 0)), ((0, -1, 0, 0), (0, 0, 0, 1))},
-}
+def simple_rewirings(orc):
+    """(src, dst, oracle) for each simple root group, of either sign, wired
+    to another one."""
+    n, base = orc.gcm.n, orc.root_group_elements
+    simple = [tuple(sgn * (k == i) for k in range(n)) for i in range(n) for sgn in (1, -1)]
+    for src, dst in itertools.permutations(simple, 2):
+        yield src, dst, replace(orc, root_group_elements=lambda v, src=src, dst=dst: base(dst if v == src else v))
 
 
 @pytest.mark.parametrize("n,radius", [(3, 3), (4, 2)])
 def test_building_ball_on_rewired_simple_root_groups(n, radius):
-    # one simple root group of SL_n(F_2), of either sign, wired to another:
-    # the ball is the correct one or the walk raises, except for the listed
-    # sign -1 wirings.  On sign -1 some wirings show only as a non-ShortLex
-    # ascent that reaches no chamber.
+    # on both signs the ball is the correct one or the walk raises
     orc = trd.split_oracle(loop_group(2, n))
-    base = orc.root_group_elements
-    simple = [tuple(sgn * (k == i) for k in range(n)) for i in range(n) for sgn in (1, -1)]
     good = {sign: trd.building_ball(orc, sign, radius).to_json() for sign in (+1, -1)}
-    misses, unseen = 0, set()
-    for src, dst in itertools.permutations(simple, 2):
-        rewired = replace(orc, root_group_elements=lambda v, src=src, dst=dst: base(dst if v == src else v))
+    unseen = set()
+    for src, dst, rewired in simple_rewirings(orc):
         for sign in (+1, -1):
             try:
                 ball = trd.building_ball(rewired, sign, radius)
-            except OracleInconsistent as exc:
-                misses += sign < 0 and "matches no chamber" in str(exc)
-            else:
-                if ball.to_json() != good[sign]:
-                    assert sign < 0, (src, dst)
-                    unseen.add((src, dst))
-    assert misses
-    assert unseen == SIGN_MINUS_UNSEEN_WIRINGS[n]
+            except OracleInconsistent:
+                continue
+            if ball.to_json() != good[sign]:
+                unseen.add((sign, src, dst))
+    assert unseen == set()
+
+
+@pytest.mark.parametrize("q,n,radius", [(2, 2, 3), (3, 2, 3), (2, 3, 2), (2, 4, 2)])
+def test_sign_minus_cell_key_rejects_every_negative_rewiring(q, n, radius):
+    # a sign -1 ball reads only the negative simple root groups: rewiring
+    # one of them must raise, even where the ball's JSON would look right,
+    # and rewiring a positive one changes nothing
+    orc = trd.split_oracle(loop_group(q, n))
+    good = trd.building_ball(orc, -1, radius).to_json()
+    for src, dst, rewired in simple_rewirings(orc):
+        if sum(src) < 0:
+            with pytest.raises(OracleInconsistent):
+                trd.building_ball(rewired, -1, radius)
+        else:
+            assert trd.building_ball(rewired, -1, radius).to_json() == good, (src, dst)
 
 
 def test_group_oracle_keeps_the_fields_callers_replace():
