@@ -3,13 +3,13 @@
 Root groups are I + r t^k E_ij; the affine Weyl group is realized over the
 affine Cartan matrix, with cells computed from the relative position of
 period lattice flags (an exact invariant of the double coset) and the
-b1 * w * b2 factorization recovered by descent peeling, every step being a
-certified multiplication by root-group elements and canonical reflection
-representatives.  The twist theta(g) = J g(t^-1) J swaps B_+ and B_-, so
-the one Bruhat reader keys the chambers of both halves of the twin building
-(bruhat_key).  Inputs are held to the degree window +-WINDOW.  The
-quasi-split unitary descent, whose root groups and mu-maps at its affine
-node are SL_3's own, lives in the descent module.
+b1 * w * b2 factorization recovered by descent peeling, each letter's
+root-group parameter read off the flag reduction.  The twist
+theta(g) = J g(t^-1) J swaps B_+ and B_-, so the one Bruhat reader keys the
+chambers of both halves of the twin building (bruhat_key).  Inputs are held
+to the degree window +-WINDOW.  The quasi-split unitary descent, whose
+root groups and mu-maps at its affine node are SL_3's own, lives in the
+descent module.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ class LoopGroup:
     def _weyl_of_pattern(self, pattern: tuple) -> WeylElement:
         """Affine Weyl element acting on the root groups as the pattern's
         matrices do; OracleInconsistent if pi is not a permutation or no
-        Weyl element acts that way.  Cached: bruhat_cell's probes meet the
-        same few patterns many times."""
+        Weyl element acts that way.  Cached: the cells of the elements, and
+        of the remainders bruhat_cell peels, repeat a few patterns."""
         inverse = [None] * self.n
         for j, (i, e) in enumerate(pattern):
             inverse[i] = (j, -e)
@@ -221,8 +221,8 @@ class LoopGroup:
         return self.mu_map(self.simple_roots[node], 1)
 
     @lru_cache(maxsize=None)
-    def _probe_factor(self, node: int, r: int) -> LaurentMatrix:
-        """s_node^-1 * x_node(-r), the left factor of bruhat_cell's probes."""
+    def _peel_factor(self, node: int, r: int) -> LaurentMatrix:
+        """s_node^-1 * x_node(-r), the factor bruhat_cell peels off rest."""
         minus = self.root_group_element(self.simple_roots[node], self.field.neg(r))
         return self.reps[(node,)][1] * minus
 
@@ -249,23 +249,20 @@ class LoopGroup:
         if not g.det().is_one():
             raise NotUnimodular("group elements must have determinant 1")
 
-    def _column(self, g: LaurentMatrix, j: int):
-        return [g.entry(i, j) for i in range(self.n)]
+    @staticmethod
+    def _f_coeff(col, f_index: int) -> int:
+        return col[f_index % len(col)].coeff(-(f_index // len(col)))
 
     @staticmethod
     def _fmax(col, n: int):
-        best = None
-        for i, p in enumerate(col):
-            for e, _v in p.terms:
-                d = i - n * e
-                if best is None or d > best:
-                    best = d
-        return best
+        # the lowest exponent of an entry gives its largest f-index
+        return max((i - n * p.terms[0][0] for i, p in enumerate(col) if p.terms), default=None)
 
     def _reduce_profile(self, columns, down: bool):
         """Jump profile u(k) of the ordered columns c_k: the lead (largest
         f-index) of c_k modulo L_k = L_0 + R c_0 + ... + R c_(k-1), where
-        L_0 = t^s span(columns), R = F_q[[t^s]] and s = 1 (down=True) or -1.
+        L_0 = t^s span(columns), R = F_q[[t^s]] and s = 1 (down=True) or -1,
+        as (u(k), v_k) pairs: v_k is c_k minus an element of L_k, of lead u(k).
 
         L_0 is echeloned once, to one generator per lead class d mod n.
         dim(L_k / L_0) = k, so [L_(k+1) : L_k] = q and the lead set of
@@ -301,24 +298,24 @@ class LoopGroup:
         for col in columns:
             d, v = reduce(col)
             gens[d % n] = (d, v)
-            out.append(d)
+            out.append((d, v))
         return out
 
-    def _cell(self, g: LaurentMatrix, down: bool) -> WeylElement:
-        """w with g in B_+ w B_+ (down=True) or B_+ w B_- (down=False).  The
-        jump profile of the columns (reversed for B_-) is the affine
-        permutation: jump d puts its column at row i = d mod n, exponent
-        (i - d) / n.  The caller checks that g has determinant 1."""
+    def _cell(self, g: LaurentMatrix, down: bool) -> tuple[WeylElement, list]:
+        """(w, jump profile) with g in B_+ w B_+ (down=True) or B_+ w B_-
+        (down=False).  The jump profile of the columns (reversed for B_-) is
+        the affine permutation: jump d puts its column at row i = d mod n,
+        exponent (i - d) / n.  The caller checks that g has determinant 1."""
         n = self.n
-        order = range(n) if down else range(n - 1, -1, -1)
-        profile = self._reduce_profile([self._column(g, k) for k in order], down)
-        pattern = tuple((d % n, (d % n - d) // n) for d in profile)
-        return self._weyl_of_pattern(pattern if down else pattern[::-1])
+        columns = list(zip(*g.rows))
+        profile = self._reduce_profile(columns if down else columns[::-1], down)
+        pattern = tuple((d % n, (d % n - d) // n) for d, _v in profile)
+        return self._weyl_of_pattern(pattern if down else pattern[::-1]), profile
 
     def bruhat_weyl(self, g: LaurentMatrix) -> WeylElement:
         """Iwahori-Bruhat cell of g (w with g in B_+ w B_+)."""
         self._check_input(g)
-        return self._cell(g, True)
+        return self._cell(g, True)[0]
 
     def bruhat_key(self, sign: int, g: LaurentMatrix) -> tuple:
         """The word of the cell of g B_sign: bruhat_weyl(g) on sign +1 and
@@ -328,47 +325,40 @@ class LoopGroup:
     def birkhoff_cell(self, g: LaurentMatrix) -> WeylElement:
         """w with g in B_+ w B_-."""
         self._check_input(g)
-        return self._cell(g, False)
+        return self._cell(g, False)[0]
 
-    def bruhat_cell(self, g: LaurentMatrix, rng=None):
+    def bruhat_cell(self, g: LaurentMatrix):
         """(w, b1, b2) with g = b1 * canonical_rep(w) * b2 exactly.
 
-        w comes from the flag invariant (hence independent of any choices);
-        b1 and b2 are recovered by peeling the canonical word letter by
-        letter, probing the q parameters of each panel.  rng, when given,
-        only shuffles the probe order.  Probes are products of determinant-1
-        factors, so _cell skips their determinant.
-        """
-        w = self.bruhat_weyl(g)
-        f = self.field
+        w comes from the flag invariant.  While rest's cell word starts with
+        i, rest = x_i(r) s_i rest', x_i(r) s_i B being the projection of rest B
+        onto the i-panel of B (gate property): the line of e_u + r e_(u-1) in
+        Lambda_u / Lambda_(u-2) (f-indices, u = i mod n).  As i is a left
+        descent, rest's jump u precedes its jump u - 1, so the first
+        rest-lattice that meets the quotient meets it in the line of the
+        reduced column v of lead u: r = coeff_(u-1)(v) / coeff_u(v).  rest'
+        must lie in the cell of the rest of the word, so a wrong r raises.
+        b1 = g (prefix rest)^-1."""
+        self._check_input(g)
+        n, f = self.n, self.field
+        w, profile = self._cell(g, True)
         rest = g
-        b1 = self.identity()
-        prefix = prefix_inv = self.identity()
+        prefix = self.identity()
         for pos, i in enumerate(w.word):
-            s_i, s_inv = self.reps[(i,)]
-            target = w.word[pos + 1 :]
-            params = list(f.elements())
-            if rng is not None:
-                rng.shuffle(params)
-            hit = None
-            for r in params:
-                cand = self._probe_factor(i, r) * rest
-                # a suffix of a ShortLex-least word is ShortLex-least
-                if self._cell(cand, True).word == target:
-                    hit = (r, cand)
-                    break
-            if hit is None:
+            u, v = next(jump for jump in profile if jump[0] % n == i)
+            r = f.mul(self._f_coeff(v, u - 1), f.inv(self._f_coeff(v, u)))
+            rest = self._peel_factor(i, r) * rest
+            prefix = prefix * self.reps[(i,)][0]
+            cell, profile = self._cell(rest, True)
+            if cell.word != w.word[pos + 1 :]:
                 raise OracleInconsistent("descent peeling failed to shorten the cell")
-            r, rest = hit
-            u_conj = prefix * self.root_group_element(self.simple_roots[i], r) * prefix_inv
-            b1 = b1 * u_conj
-            prefix = prefix * s_i
-            prefix_inv = s_inv * prefix_inv
         if not self.in_borel(1, rest):
             raise OracleInconsistent("peeled remainder is not in the Iwahori subgroup")
+        whole = prefix * rest
+        b1 = g * whole.inverse()
         if not self.in_borel(1, b1):
-            raise OracleInconsistent("accumulated unipotent part left the Iwahori subgroup")
-        if b1 * prefix * rest != g:
+            raise OracleInconsistent("left factor is not in the Iwahori subgroup")
+        if b1 * whole != g:
             raise OracleInconsistent("re-multiplied factorization does not reproduce the element")
         return w, b1, rest
 

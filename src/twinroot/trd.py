@@ -13,7 +13,7 @@ import functools
 import json
 import operator
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from . import cone, weyl
 from . import roots as rootsmod
@@ -398,27 +398,19 @@ def check_rsd(
             alpha = oracle.simple_vector(node)
             elems = basis.nontrivial(oracle, node)
             s, s_inv = reps[(node,)]
+            # m(v) = (s v1 s^-1) v (s v2 s^-1) for some v1, v2 in E_node
+            conj = [oracle.mul(s, oracle.mul(v1, s_inv)) for v1 in elems]
             for v in elems:
                 m = oracle.mu(alpha, v)
-                found = False
-                for v1 in elems:
-                    for v2 in elems:
-                        cand = oracle.mul(
-                            oracle.mul(oracle.mul(s, oracle.mul(v1, s_inv)), v),
-                            oracle.mul(s, oracle.mul(v2, s_inv)),
-                        )
-                        if cand == m:
-                            found = True
-                            break
-                    if found:
-                        break
                 checked += 1
-                if not found:
+                if not any(oracle.mul(oracle.mul(c1, v), c2) == m for c1 in conj for c2 in conj):
                     return False, checked, f"RSD4 decomposition unsolvable at node {node}"
         return True, checked, None
 
     def rsd5():
         checked = 0
+        # the closures conjugate by generators of <T_d> only (_subgroup_closure)
+        stable = replace(basis, torus_elements=_generating_subset(oracle, basis.torus_elements))
         for i in range(A.n):
             for j in range(A.n):
                 if i == j:
@@ -447,7 +439,7 @@ def check_rsd(
                 for _ in range(max(1, sample_budget // 20)):
                     gen_sets.append(rng.sample(universe, min(2, len(universe))))
                 for gens in gen_sets:
-                    X = _subgroup_closure(oracle, basis, gens, factor)
+                    X = _subgroup_closure(oracle, stable, gens, factor)
                     for x in X:
                         u1, u2 = factor[x]
                         checked += 1
@@ -473,8 +465,9 @@ def _subgroup_closure(oracle, basis, gens, universe):
     maps of X into itself, hence bijections, so X is also closed under their
     inverses: X is a group, closed under right multiplication by every T_d
     conjugate of a generator, and so it is the T_d-stable subgroup they
-    generate.  No element of X is inverted.  OracleInconsistent is raised
-    when a step leaves the universe.
+    generate.  By the same bijections generators of <T_d> give the same X as
+    T_d itself (rsd5 passes them).  No element of X is inverted.
+    OracleInconsistent is raised when a step leaves the universe.
     """
     conjugators = [(tau, oracle.inv(tau)) for tau in basis.torus_elements]
     out = {oracle.identity}
@@ -490,6 +483,22 @@ def _subgroup_closure(oracle, basis, gens, universe):
                 out.add(h)
                 frontier.append(h)
     return out
+
+
+def _generating_subset(oracle, elements):
+    """A greedy sublist whose products, walked inside the list, reach every
+    element: an element joins when the walk of those before it misses it."""
+    listed, gens, reached = set(elements), [], {oracle.identity}
+    for tau in elements:
+        if tau not in reached:
+            gens.append(tau)
+            frontier = list(reached)
+            while frontier:
+                x = frontier.pop()
+                new = {oracle.mul(x, g) for g in gens} & listed - reached
+                reached |= new
+                frontier.extend(new)
+    return gens
 
 
 # --- integration ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from twinroot import gcm, trd
 from twinroot.chevalley import loop_group
+from twinroot.errors import OracleInconsistent
 from twinroot.laurent import LaurentMatrix, LaurentPoly, diagonal
 
 TEST_GCMS = {
@@ -42,6 +43,33 @@ def to_f3(g):
         assert all(f9.frobenius(v) == v for t in terms for _, v in t)
         rows.append(tuple(LaurentPoly(f3, t) for t in terms))
     return LaurentMatrix(f3, 2, tuple(rows))
+
+
+def probing_bruhat_cell(G, g, rng=None):
+    """Reference for LoopGroup.bruhat_cell that finds each letter's
+    parameter by trial: it tries r over F_q (shuffled by rng, when given)
+    until s_i^-1 x_i(-r) rest, formed anew, lies in the cell of the rest of
+    the word, and accumulates b1 letter by letter as the product of the
+    conjugates prefix x_i(r) prefix^-1."""
+    w = G.bruhat_weyl(g)
+    f = G.field
+    rest, b1 = g, G.identity()
+    prefix = prefix_inv = G.identity()
+    for pos, i in enumerate(w.word):
+        s_inv = G._canonical_s(i).inverse()
+        params = list(f.elements())
+        if rng is not None:
+            rng.shuffle(params)
+        for r in params:
+            cand = s_inv * G.root_group_element(G.simple_roots[i], f.neg(r)) * rest
+            if G._cell(cand, True)[0].word == w.word[pos + 1 :]:
+                break
+        else:
+            raise OracleInconsistent("descent peeling failed to shorten the cell")
+        rest = cand
+        b1 = b1 * prefix * G.root_group_element(G.simple_roots[i], r) * prefix_inv
+        prefix, prefix_inv = prefix * G._canonical_s(i), s_inv * prefix_inv
+    return w, b1, rest
 
 
 @pytest.fixture

@@ -18,6 +18,8 @@ from twinroot.errors import (
 from twinroot.fields import GF
 from twinroot.laurent import LaurentMatrix, LaurentPoly, diagonal, matrix_from_json
 
+from conftest import probing_bruhat_cell
+
 # the groups whose radius-6 Weyl balls the pattern reader is checked on
 PATTERN_GROUPS = ((2, 2), (3, 2), (4, 2), (2, 3), (4, 3))
 
@@ -200,14 +202,15 @@ def test_birkhoff_examples():
 
 
 def test_bruhat_round_trip_and_order_independence(rng):
+    # the probing reference, in a shuffled probe order, finds the same factors
     G = loop_group(2, 2)
     for _ in range(60):
         g = G.random_element(rng, steps=5)
         w, b1, b2 = G.bruhat_cell(g)
         assert b1 * G.canonical_representative(w) * b2 == g
         assert G.in_borel(1, b1) and G.in_borel(1, b2)
-        w2, _, _ = G.bruhat_cell(g, rng=random.Random(rng.randrange(10**6)))
-        assert w2 == w
+        w2, c1, c2 = probing_bruhat_cell(G, g, random.Random(rng.randrange(10**6)))
+        assert (w2.word, c1, c2) == (w.word, b1, b2)
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 4), (2, 5)])
@@ -285,41 +288,65 @@ def test_theta_swaps_the_borels_and_keys_negative_cosets(q, n):
     assert seen == {True, False} and keyed >= 20
 
 
-def uncached_bruhat_cell(G, g, rng=None):
-    """bruhat_cell with each probe formed anew as s_i^-1 * x_i(-r) * rest,
-    no factor reused between probes."""
-    w = G.bruhat_weyl(g)
-    f = G.field
-    rest, b1 = g, G.identity()
-    prefix = prefix_inv = G.identity()
-    for pos, i in enumerate(w.word):
-        s_inv = G._canonical_s(i).inverse()
-        params = list(f.elements())
-        if rng is not None:
-            rng.shuffle(params)
-        for r in params:
-            cand = s_inv * G.root_group_element(G.simple_roots[i], f.neg(r)) * rest
-            if G._cell(cand, True).word == w.word[pos + 1 :]:
-                break
-        else:
-            raise OracleInconsistent("descent peeling failed to shorten the cell")
-        rest = cand
-        b1 = b1 * prefix * G.root_group_element(G.simple_roots[i], r) * prefix_inv
-        prefix, prefix_inv = prefix * G._canonical_s(i), s_inv * prefix_inv
-    return w, b1, rest
+@pytest.mark.parametrize(
+    "q,n", [(2, 2), (3, 2), (4, 2), (5, 2), (9, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (2, 5)]
+)
+def test_bruhat_cell_matches_uncached_probes(q, n):
+    # the reference probes each parameter, shuffled or in field order; inputs
+    # with Iwahori factors on both sides reach longer and denser cells
+    G = loop_group(q, n)
+    rng = random.Random(f"bruhat-probes/{q}/{n}")
+    inputs = []
+    while len(inputs) < 24:
+        g = G.random_element(rng, steps=6 if n == 2 else 5)
+        moved = random_iwahori(G, rng) * g * random_iwahori(G, rng)
+        inputs += [g] + [moved] * (moved.max_degree_span() <= WINDOW)
+    for g in inputs:
+        order_seed = rng.randrange(10**6)
+        got = G.bruhat_cell(g)
+        for shuffle in (None, random.Random(order_seed)):
+            ref = probing_bruhat_cell(G, g, shuffle)
+            assert (got[0].word, got[1], got[2]) == (ref[0].word, ref[1], ref[2])
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (9, 2), (2, 3), (4, 3)])
-def test_bruhat_cell_matches_uncached_probes(q, n):
-    G = loop_group(q, n)
-    rng = random.Random(f"bruhat-probes/{q}/{n}")
-    for _ in range(12):
+def test_bruhat_cell_raises_on_a_wrong_parameter(q, n, monkeypatch):
+    # negative control: peeling x_i(r + 1) instead of x_i(r) leaves the
+    # remainder in the cell it started in, for every element off B
+    G = LoopGroup(loop_group(q, n).field, n)
+    right = G._peel_factor
+    monkeypatch.setattr(G, "_peel_factor", lambda i, r: right(i, G.field.add(r, 1)))
+    rng = random.Random(f"wrong-parameter/{q}/{n}")
+    raised = 0
+    for _ in range(30):
         g = G.random_element(rng, steps=6 if n == 2 else 5)
-        order_seed = rng.randrange(10**6)
-        for shuffle in (None, order_seed):
-            got = G.bruhat_cell(g, None if shuffle is None else random.Random(shuffle))
-            ref = uncached_bruhat_cell(G, g, None if shuffle is None else random.Random(shuffle))
-            assert (got[0].word, got[1], got[2]) == (ref[0].word, ref[1], ref[2])
+        if G.bruhat_weyl(g).length == 0:
+            assert G.bruhat_cell(g)[0].word == ()
+            continue
+        with pytest.raises(OracleInconsistent):
+            G.bruhat_cell(g)
+        raised += 1
+    assert raised >= 20
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (9, 2), (2, 3), (4, 3), (3, 4)])
+def test_bruhat_cell_runs_one_reduction_per_letter(q, n, monkeypatch):
+    # cost guard: at most l(w) + 1 flag reductions, whatever q is
+    G = LoopGroup(loop_group(q, n).field, n)
+    counted = G._reduce_profile
+    calls = []
+
+    def reduce_profile(columns, down):
+        calls.append(down)
+        return counted(columns, down)
+
+    monkeypatch.setattr(G, "_reduce_profile", reduce_profile)
+    rng = random.Random(f"reductions/{q}/{n}")
+    for _ in range(15):
+        g = G.random_element(rng, steps=6 if n == 2 else 5)
+        calls.clear()
+        w = G.bruhat_cell(g)[0]
+        assert 1 <= len(calls) <= w.length + 1
 
 
 def test_degree_window_guard():
@@ -392,7 +419,7 @@ def reference_cell(G, g, down):
     order = list(range(n)) if down else list(range(n - 1, -1, -1))
     profile = G._reduce_profile([[g.entry(i, k) for i in range(n)] for k in order], down)
     rows = [[LaurentPoly.zero(f)] * n for _ in range(n)]
-    for k, d in zip(order, profile):
+    for k, (d, _v) in zip(order, profile):
         rows[d % n][k] = LaurentPoly.monomial(f, (d % n - d) // n, 1)
     return reference_weyl_from_monomial(G, LaurentMatrix(f, n, tuple(map(tuple, rows))))
 
@@ -462,7 +489,8 @@ def test_reduce_profile_matches_per_k_reference(name):
         g = random_iwahori(G, rng) * G.random_element(rng, steps=8) * random_iwahori(G, rng)
         for order, down in ((range(n), True), (range(n - 1, -1, -1), False)):
             columns = [[g.entry(i, k) for i in range(n)] for k in order]
-            assert G._reduce_profile(columns, down) == _reference_profile(G, columns, down)
+            leads = [d for d, _v in G._reduce_profile(columns, down)]
+            assert leads == _reference_profile(G, columns, down)
 
 
 def torus_translations(G):

@@ -403,6 +403,33 @@ def test_closure_matches_two_sided_reference(name):
     assert compared >= 5 * len(pairs)
 
 
+@pytest.mark.parametrize("name", ["tautological-F4", "subfield-F3", "center-line"])
+def test_closure_under_a_generating_sublist_of_the_torus(name):
+    # RSD5 conjugates by a generating sublist of T_d; its closures are those
+    # of the whole list
+    orc, basis, pairs = _closure_case(name)
+    gens_of_torus = trd._generating_subset(orc, basis.torus_elements)
+    assert set(gens_of_torus) <= set(basis.torus_elements)
+    listed = set(basis.torus_elements)
+    no_torus = replace(basis, torus_elements=[])
+    assert trd._subgroup_closure(orc, no_torus, gens_of_torus, listed) == listed | {orc.identity}
+    stable = replace(basis, torus_elements=gens_of_torus)
+    for gens, universe in rsd5_closure_inputs(orc, pairs, 24, 0):
+        got = trd._subgroup_closure(orc, stable, gens, universe)
+        assert got == trd._subgroup_closure(orc, basis, gens, universe)
+
+
+def test_generating_sublist_stays_inside_the_list():
+    # 64 constant torus elements need 6 greedy generators; an element of
+    # infinite order is kept as it is, the walk never leaving the list
+    G, basis = tautological_basis(9)
+    orc = trd.split_oracle(G)
+    assert len(trd._generating_subset(orc, basis.torus_elements)) == 6
+    f = G.field
+    shift = diagonal(f, (LaurentPoly.monomial(f, 1, 1), LaurentPoly.one(f), LaurentPoly.monomial(f, -1, 1)))
+    assert trd._generating_subset(orc, [shift, orc.identity]) == [shift]
+
+
 def test_closure_leaving_the_universe_raises():
     # over F_9 the subfield line has order 3, so u * u leaves {1, u}; over
     # F_4 (characteristic 2) u * u = 1 and only a torus conjugate leaves it
