@@ -222,7 +222,7 @@ def _dispatch_group(args):
         from .descent import anisotropic_kernel, relative_root_group, su3_datum
         d = su3_datum(args.q)
         v1, z1 = relative_root_group(d, 1)
-        v0, z0 = relative_root_group(d, 0)
+        v0, _ = relative_root_group(d, 0)
         kernel, commutative = anisotropic_kernel(d)
         _emit(
             _json(

@@ -1,9 +1,12 @@
-"""Tits-cone side of the Coxeter complex: dual action, facets, Galois folding.
+"""Tits-cone side of the Coxeter complex: facets, cone membership, Galois folding.
 
 Points of the dual space V* are stored by their exact rational values on the
 basis e_0..e_{n-1}.  Diagram automorphisms fold the Coxeter system to the
 relative one: orbit generators are longest elements of the orbit parabolics,
-and folded orders are computed from the action on the fixed subspace L.
+and folded orders are read in W itself.  They equal the orders on the fixed
+subspace L: an element of W that acts trivially on L fixes the all-ones point
+of L, which lies in the open fundamental chamber, and only the identity of W
+fixes such a point.
 `fold_word` reads an element of the folded subgroup of W as a relative word.
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from . import weyl
 from .errors import (
@@ -40,24 +44,8 @@ class CoFunctional:
     def of(values) -> "CoFunctional":
         return CoFunctional(tuple(Fraction(v) for v in values))
 
-    def pair(self, v) -> Fraction:
-        if len(v) != len(self.coords):
-            raise RankMismatch("vector length does not match the functional")
-        return sum((f * x for f, x in zip(self.coords, v)), Fraction(0))
-
     def to_json_obj(self):
         return [{"num": f.numerator, "den": f.denominator} for f in self.coords]
-
-
-def dual_action(w: WeylElement, f: CoFunctional) -> CoFunctional:
-    """(w.f)(v) = f(w^{-1} v); preserves the pairing exactly."""
-    n = w.gcm.n
-    if len(f.coords) != n:
-        raise RankMismatch("functional length does not match the rank")
-    coords = tuple(
-        sum((f.coords[k] * w.inv[k][j] for k in range(n)), Fraction(0)) for j in range(n)
-    )
-    return CoFunctional(coords)
 
 
 def facet_type(f: CoFunctional) -> tuple[int, ...]:
@@ -175,8 +163,9 @@ def orbit_longest_element(A: GeneralizedCartanMatrix, orbit) -> WeylElement:
 
 @lru_cache(maxsize=None)
 def _orbit_images(A: GeneralizedCartanMatrix, orbits) -> tuple:
-    """(letters, ShortLex word of the longest element) per orbit, built once."""
-    return tuple((frozenset(o), orbit_longest_element(A, o).word) for o in orbits)
+    """(letters, longest element) per orbit, built once: the images in W of
+    the relative generators."""
+    return tuple((frozenset(o), orbit_longest_element(A, o)) for o in orbits)
 
 
 def fold_word(A: GeneralizedCartanMatrix, orbits, w: WeylElement) -> tuple[int, ...]:
@@ -197,62 +186,27 @@ def fold_word(A: GeneralizedCartanMatrix, orbits, w: WeylElement) -> tuple[int, 
         descents = {i for i, c in enumerate(x) if c < 0}
         if not descents:
             return tuple(peeled)
-        for k, (letters, word) in enumerate(images):
+        for k, (letters, r) in enumerate(images):
             if letters <= descents:
                 break
         else:
             raise OracleInconsistent(f"ambient element {w.word} is not in the image of the relative Weyl group")
         peeled.append(k)
-        for i in word:
+        for i in r.word:
             x = weyl._reflect(a, x, i)
-
-
-def _restrict_to_subspace(w: WeylElement, basis: list[CoFunctional]):
-    """Matrix of the dual action of w on span(basis); None if not stable."""
-    n = w.gcm.n
-    k = len(basis)
-    images = [dual_action(w, b) for b in basis]
-    # solve images[j] = sum_i coeff[i][j] basis[i]; basis vectors are orbit
-    # indicators with disjoint supports, so coefficients read off directly
-    cols = []
-    for img in images:
-        coeffs = []
-        residual = list(img.coords)
-        for b in basis:
-            support = [i for i, x in enumerate(b.coords) if x != 0]
-            vals = {img.coords[i] for i in support}
-            if len(vals) != 1:
-                return None
-            c = vals.pop()
-            coeffs.append(c)
-            for i in support:
-                residual[i] -= c
-        if any(x != 0 for x in residual):
-            return None
-        cols.append(coeffs)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
 def relative_coxeter(A: GeneralizedCartanMatrix, autos) -> RelativeCoxeterMatrix:
     """Folded Coxeter matrix of the diagram-automorphism group.
 
     Generators are longest elements of orbit parabolics; m(O, O') is the
-    order of the product acting on the fixed subspace L.  The restricted
-    generators are integral, so weyl.matrix_order certifies it.
+    order of their product in W, which weyl.matrix_order certifies on W's
+    integral action.  It is the order on the fixed subspace L too (module
+    docstring), and m(O', O) = m(O, O') as the two products are inverse.
     """
-    autos = _closure_check(A, autos)
     orbs = orbits(A, autos)
-    basis = fixed_subspace(A, autos)
-    gens = []
-    for orbit in orbs:
-        r = orbit_longest_element(A, orbit)
-        restr = _restrict_to_subspace(r, basis)
-        if restr is None:
-            raise OrbitNotSpherical(f"generator of orbit {orbit} does not stabilize L")
-        gens.append(restr)
-    k = len(orbs)
-    rows = tuple(
-        tuple(1 if i == j else weyl.matrix_order(weyl.mat_mul(gens[i], gens[j])) for j in range(k))
-        for i in range(k)
-    )
-    return RelativeCoxeterMatrix(orbs, rows)
+    gens = [r.mat for _, r in _orbit_images(A, orbs)]
+    m = [[1] * len(orbs) for _ in orbs]
+    for i, j in combinations(range(len(orbs)), 2):
+        m[i][j] = m[j][i] = weyl.matrix_order(weyl.mat_mul(gens[i], gens[j]))
+    return RelativeCoxeterMatrix(orbs, tuple(map(tuple, m)))

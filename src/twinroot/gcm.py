@@ -46,9 +46,6 @@ class GeneralizedCartanMatrix:
     n: int
     a: IntMatrix
 
-    def entry(self, i: int, j: int) -> int:
-        return self.a[i][j]
-
     def submatrix(self, indices: tuple[int, ...]) -> "GeneralizedCartanMatrix":
         """Principal submatrix on a subset of nodes (itself a valid GCM)."""
         rows = tuple(tuple(self.a[i][j] for j in indices) for i in indices)

@@ -99,11 +99,6 @@ class LaurentPoly:
                 return v
         return 0
 
-    @property
-    def val(self) -> int:
-        """Lowest exponent (raises on the zero polynomial)."""
-        return self.terms[0][0]
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if other.field is not self.field:
             raise RankMismatch("polynomials over different fields")

@@ -67,11 +67,9 @@ def simple_root(A: GeneralizedCartanMatrix, i: int) -> RootVector:
     return RootVector(tuple(1 if k == i else 0 for k in range(A.n)))
 
 
-def enumerate_real_roots(
-    A: GeneralizedCartanMatrix, L: int, cap: int = DEFAULT_ROOT_CAP
-) -> list[RootVector]:
+def enumerate_real_roots(A: GeneralizedCartanMatrix, L: int) -> list[RootVector]:
     """All w(+-v_i) with l(w) <= L, deterministic (level, lex) order."""
-    return [RootVector(v) for v in _root_vectors(A, L, cap)]
+    return [RootVector(v) for v in _root_vectors(A, L)]
 
 
 def _reflect_root(A: GeneralizedCartanMatrix, v: IntVector, i: int) -> IntVector:
@@ -79,7 +77,7 @@ def _reflect_root(A: GeneralizedCartanMatrix, v: IntVector, i: int) -> IntVector
     return v[:i] + (v[i] - sum(a * c for a, c in zip(A.a[i], v)),) + v[i + 1 :]
 
 
-def _root_vectors(A: GeneralizedCartanMatrix, L: int, cap: int = DEFAULT_ROOT_CAP):
+def _root_vectors(A: GeneralizedCartanMatrix, L: int):
     level = sorted(
         {tuple(sgn * x for x in row) for row in weyl.identity_matrix(A.n) for sgn in (1, -1)}
     )
@@ -97,8 +95,8 @@ def _root_vectors(A: GeneralizedCartanMatrix, L: int, cap: int = DEFAULT_ROOT_CA
         level = sorted(nxt)
         seen.update(nxt)
         out.extend(level)
-        if len(seen) > cap:
-            raise ExplosionGuard(f"root enumeration exceeded cap {cap}")
+        if len(seen) > DEFAULT_ROOT_CAP:
+            raise ExplosionGuard(f"root enumeration exceeded cap {DEFAULT_ROOT_CAP}")
     return out
 
 

@@ -56,11 +56,9 @@ class GroupOracle:
     def nontrivial(self, vector):
         return [u for u in self.root_group_elements(vector) if u != self.identity]
 
-    def windowed_roots(self, level_window: int, length: int = None):
-        if length is None:
-            length = 2 * level_window + 2
+    def windowed_roots(self, level_window: int):
         out = []
-        for r in rootsmod.enumerate_real_roots(self.gcm, length):
+        for r in rootsmod.enumerate_real_roots(self.gcm, 2 * level_window + 2):
             # node 0 is the affine node of every oracle's GCM: v[0] is the level
             if abs(r.coords[0]) <= level_window:
                 out.append(r.coords)

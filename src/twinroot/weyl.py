@@ -50,7 +50,6 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -249,7 +248,7 @@ def is_reduced(A: GeneralizedCartanMatrix, word) -> bool:
 DEFAULT_BALL_CAP = 10**6
 
 
-def enumerate_ball(A: GeneralizedCartanMatrix, L: int, cap: int = DEFAULT_BALL_CAP) -> list[WeylElement]:
+def enumerate_ball(A: GeneralizedCartanMatrix, L: int) -> list[WeylElement]:
     """All elements of length <= L, each once, in (length, ShortLex) order."""
     if L < 0:
         raise IndexOutOfRange("ball radius must be nonnegative")
@@ -272,8 +271,8 @@ def enumerate_ball(A: GeneralizedCartanMatrix, L: int, cap: int = DEFAULT_BALL_C
             key=lambda w: w.word,
         )
         seen.update(nxt)
-        if len(seen) > cap:
-            raise ExplosionGuard(f"ball enumeration exceeded cap {cap}")
+        if len(seen) > DEFAULT_BALL_CAP:
+            raise ExplosionGuard(f"ball enumeration exceeded cap {DEFAULT_BALL_CAP}")
         if not layer:
             break
         result.extend(layer)

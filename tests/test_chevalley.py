@@ -139,7 +139,7 @@ def test_mu_conjugates_root_groups(rng):
         target = weyl.mat_vec(s, beta)
         ti, tj, tk = G.vector_to_root(target)
         p = conj.entry(ti, tj)
-        assert not p.is_zero() and p.is_monomial() and p.val == tk
+        assert not p.is_zero() and p.is_monomial() and p.terms[0][0] == tk
 
 
 def test_bruhat_identity_and_reflection():
@@ -245,7 +245,7 @@ def mirror_loops_in_borel(G, sign, g):
     for i in range(G.n):
         for j in range(G.n):
             p = g.entry(i, j)
-            if sign > 0 and (not p.is_zero() and p.val < 0 or i > j and p.coeff(0) != 0):
+            if sign > 0 and (not p.is_zero() and p.terms[0][0] < 0 or i > j and p.coeff(0) != 0):
                 return False
             if sign < 0 and (not p.is_zero() and p.terms[-1][0] > 0 or i < j and p.coeff(0) != 0):
                 return False
@@ -397,7 +397,7 @@ def reference_weyl_from_monomial(G, m):
                     continue
                 if found is not None or not p.is_monomial():
                     raise OracleInconsistent("conjugate of a root element is not a root element")
-                found = (i, j, p.val)
+                found = (i, j, p.terms[0][0])
         if found is None:
             raise OracleInconsistent("conjugate of a root element is trivial")
         return found

@@ -1,4 +1,4 @@
-from fractions import Fraction
+import itertools
 
 import pytest
 
@@ -13,26 +13,6 @@ from twinroot.errors import (
 )
 
 from conftest import TEST_GCMS
-
-
-def test_dual_action_identity_and_pairing(rng):
-    for A in (gcm.A2, gcm.B2, gcm.AFFINE_A1):
-        ball = weyl.enumerate_ball(A, 4)
-        f = CoFunctional.of([Fraction(3, 2), Fraction(-1, 3)][: A.n] + [Fraction(1)] * (A.n - 2))
-        assert cone.dual_action(weyl.identity_element(A), f) == f
-        for _ in range(100):
-            w = rng.choice(ball)
-            fr = CoFunctional.of([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(A.n)])
-            v = tuple(rng.randint(-5, 5) for _ in range(A.n))
-            wf = cone.dual_action(w, fr)
-            assert wf.pair(w.apply(v)) == fr.pair(v)
-
-
-def test_dual_action_wall_preserved():
-    # s_0 preserves the wall condition f(e_0) = 0
-    f = CoFunctional.of([0, 1])
-    s0 = weyl.simple_element(gcm.A2, 0)
-    assert cone.dual_action(s0, f).coords[0] == 0
 
 
 def test_facet_type():
@@ -94,21 +74,23 @@ def test_relative_coxeter_affine_a2_flip():
     assert rc.m == ((1, weyl.INF), (weyl.INF, 1))
 
 
+def _cycle(n):
+    """The affine A_{n-1} GCM: an n-cycle of simple bonds."""
+    bond = {1, n - 1}
+    return gcm.validate_gcm([[2 if i == j else -1 if (i - j) % n in bond else 0 for j in range(n)] for i in range(n)])
+
+
+def _copies(block, c):
+    """c copies of block along the diagonal, with no bonds between them."""
+    n = block.n
+    return gcm.validate_gcm([[block.a[i % n][j % n] if i // n == j // n else 0 for j in range(c * n)]
+                             for i in range(c * n)])
+
+
 def test_relative_coxeter_two_swapped_copies():
     for block in (gcm.A2, gcm.B2):
         n = block.n
-        rows = []
-        for i in range(2 * n):
-            row = []
-            for j in range(2 * n):
-                if i < n and j < n:
-                    row.append(block.a[i][j])
-                elif i >= n and j >= n:
-                    row.append(block.a[i - n][j - n])
-                else:
-                    row.append(0)
-            rows.append(row)
-        A = gcm.validate_gcm(rows)
+        A = _copies(block, 2)
         swap = cone.diagram_automorphism(A, tuple(range(n, 2 * n)) + tuple(range(n)))
         rc = cone.relative_coxeter(A, [swap])
         assert rc.m == weyl.coxeter_matrix(block).m
@@ -127,15 +109,71 @@ def test_relative_coxeter_classical_foldings():
     assert rc2.m == ((1, 4, 2), (4, 1, 4), (2, 4, 1))
 
 
-def test_relative_generators_are_involutions_on_l():
-    flip = cone.diagram_automorphism(gcm.AFFINE_A2, (0, 2, 1))
-    basis = cone.fixed_subspace(gcm.AFFINE_A2, [flip], ())
-    for orbit in cone.orbits(gcm.AFFINE_A2, [flip]):
-        r = cone.orbit_longest_element(gcm.AFFINE_A2, orbit)
-        restr = cone._restrict_to_subspace(r, basis)
-        assert restr is not None  # stabilizes L
-        sq = weyl.mat_mul(restr, restr)
-        assert sq == weyl.identity_matrix(len(basis))
+def _cyclic_groups(A):
+    """Each group generated by one diagram automorphism of A, as a list of
+    permutations."""
+    groups = {}
+    for p in itertools.permutations(range(A.n)):
+        if all(A.a[p[i]][p[j]] == A.a[i][j] for i in range(A.n) for j in range(A.n)):
+            group, q = [], p
+            while q not in group:
+                group.append(q)
+                q = tuple(p[i] for i in q)
+            groups.setdefault(frozenset(group), sorted(group))
+    return list(groups.values())
+
+
+def _order_on_fixed_subspace(A, orbits, r1, r2):
+    """Order of r1 r2 on L, the span of the orbit indicators b_O, from the
+    dual action (r.b_O)(e_j) = sum_{k in O} r^{-1}[k][j]; that value must be
+    the same for every j of an orbit O', and it is entry (O', O)."""
+
+    def restricted(r):
+        rows = []
+        for target in orbits:
+            values = [{sum(r.inv[k][j] for k in orbit) for j in target} for orbit in orbits]
+            assert all(len(v) == 1 for v in values), "r does not stabilize L"
+            rows.append(tuple(v.pop() for v in values))
+        return tuple(rows)
+
+    return weyl.matrix_order(weyl.mat_mul(restricted(r1), restricted(r2)))
+
+
+def test_relative_coxeter_is_the_order_on_the_fixed_subspace():
+    families = [*TEST_GCMS.values(), *(_cycle(n) for n in range(3, 7)),
+                *(_copies(b, c) for b in (gcm.A2, gcm.B2, gcm.G2) for c in (2, 3)),
+                gcm.validate_gcm([[2, -3], [-3, 2]]), gcm.validate_gcm([[2, -1, -2], [-1, 2, -2], [-2, -2, 2]])]
+    folded = raised = 0
+    for A in families:
+        for group in _cyclic_groups(A):
+            orbits = cone.orbits(A, group)
+            try:
+                gens = [cone.orbit_longest_element(A, o) for o in orbits]
+            except OrbitNotSpherical:
+                with pytest.raises(OrbitNotSpherical):
+                    cone.relative_coxeter(A, group)
+                raised += 1
+                continue
+            rc = cone.relative_coxeter(A, group)
+            assert rc.orbits == orbits
+            for i, j in itertools.combinations(range(len(orbits)), 2):
+                m = _order_on_fixed_subspace(A, orbits, gens[i], gens[j])
+                assert rc.m[i][j] == rc.m[j][i] == m, (A.a, group[0], i, j)
+            assert all(rc.m[i][i] == 1 for i in range(len(orbits)))
+            folded += 1
+    assert (folded, raised) == (92, 7)
+
+
+def test_relative_generators_are_involutions_commuting_with_the_automorphism():
+    # r_O r_O = 1 in W, and r_O commutes with the permutation matrix of the
+    # automorphism, so it stabilizes the fixed subspace L
+    cycle4 = _cycle(4)
+    for A, perm in ((gcm.AFFINE_A2, (0, 2, 1)), (cycle4, (0, 3, 2, 1)), (cycle4, (1, 0, 3, 2))):
+        p = tuple(tuple(1 if i == perm[j] else 0 for j in range(A.n)) for i in range(A.n))
+        for orbit in cone.orbits(A, [perm]):
+            r = cone.orbit_longest_element(A, orbit)
+            assert weyl.mat_mul(r.mat, r.mat) == weyl.identity_matrix(A.n)
+            assert weyl.mat_mul(r.mat, p) == weyl.mat_mul(p, r.mat)
 
 
 def test_orbit_not_spherical():
@@ -155,8 +193,9 @@ def test_orbit_not_spherical():
 def test_cone_membership():
     status, w = cone.cone_membership(gcm.A2, CoFunctional.of([-2, 5]))
     assert status == "inside"
-    f2 = cone.dual_action(w, CoFunctional.of([-2, 5]))
-    assert all(x >= 0 for x in f2.coords)
+    # (w.f)(e_j) = f(w^{-1} e_j) = sum_k f(e_k) w^{-1}[k][j]
+    f = (-2, 5)
+    assert all(sum(f[k] * w.inv[k][j] for k in range(2)) >= 0 for j in range(2))
     # a point outside the Tits cone of an affine group never resolves
     status, w = cone.cone_membership(gcm.AFFINE_A1, CoFunctional.of([-1, -1]), cap=100)
     assert status == "undecided" and w is None

@@ -59,7 +59,7 @@ def test_poly_ring_ops():
     q = LaurentPoly.monomial(f, -2, 1)
     assert (p * q).terms == ((-2, 2), (-1, 1))
     assert (p - p).is_zero()
-    assert p.val == 0 and p.terms[-1][0] == 1
+    assert p.terms[0][0] == 0 and p.terms[-1][0] == 1
     assert (p * LaurentPoly.one(f)) == p
     assert LaurentPoly.monomial(f, 4, 1).unit_inverse().terms == ((-4, 1),)
     with pytest.raises(NotUnimodular):

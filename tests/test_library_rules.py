@@ -114,41 +114,44 @@ def test_local_import_scan_sees_each_kind():
 
 
 def definitions(tree):
-    """(name, first line, last line) of each function, method and class;
-    dunder methods are left out, as Python calls them."""
+    """(name, first line, last line, is a method) of each function, method
+    and class; dunder methods are left out, as Python calls them."""
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield node.name, node.lineno, node.end_lineno
+                yield node.name, node.lineno, node.end_lineno, id(node) in methods
 
 
 def mentions(tree, strings: bool):
-    """(name, line) of each name and attribute read, and with strings=True
-    each word of each string constant."""
+    """(name, line, bare) of each name read (bare) and attribute read, and
+    with strings=True each word of each string constant."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             for word in re.findall(r"\w+", node.value):
-                yield word, node.lineno
+                yield word, node.lineno, False
 
 
 def unmentioned(texts, library, string_files=()):
     """The definitions in the library files that no file of texts (path ->
     source) names outside the definition itself.  A file in string_files
-    names the words of its strings too."""
+    names the words of its strings too.  A method is named only by an
+    attribute read or a string, so a local variable of the same name does
+    not count as a call."""
     trees = {path: ast.parse(text, filename=str(path)) for path, text in texts.items()}
     named = {}
     for path, tree in trees.items():
-        for name, line in mentions(tree, path in string_files):
-            named.setdefault(name, []).append((path, line))
+        for name, line, bare in mentions(tree, path in string_files):
+            named.setdefault(name, []).append((path, line, bare))
     return [
         f"{path}:{first}: {name}"
         for path in library
-        for name, first, last in sorted(definitions(trees[path]), key=lambda d: d[1])
-        if all(p == path and first <= line <= last for p, line in named.get(name, ()))
+        for name, first, last, method in sorted(definitions(trees[path]), key=lambda d: d[1])
+        if all(p == path and first <= line <= last for p, line, bare in named.get(name, ()) if not (method and bare))
     ]
 
 
@@ -166,9 +169,15 @@ def test_caller_scan_on_a_small_text():
         "def helper():\n    def inner():\n        return 1\n    return inner()\n"
         "def traced():\n    pass\n"
         "def lonely(n):\n    return lonely(n - 1)\n"
+        "class Other:\n    def kept(self):\n        pass\n    def shadowed(self):\n        pass\n"
     )
-    user = "from lib import Used, helper\nUsed()\nhelper()\n"
+    # a bare name calls a function but not a method: `shadowed` is only a local here
+    user = "from lib import Used, Other, helper\nUsed()\nhelper()\nOther().kept()\nfor shadowed in []:\n    shadowed\n"
     spans = 'NAMES = ["lib.traced"]\n'
     texts = {"lib.py": lib, "user.py": user, "spans.py": spans}
-    assert unmentioned(texts, ["lib.py"], string_files={"spans.py"}) == ["lib.py:4: method", "lib.py:12: lonely"]
-    assert unmentioned(texts, ["lib.py"]) == ["lib.py:4: method", "lib.py:10: traced", "lib.py:12: lonely"]
+    assert unmentioned(texts, ["lib.py"], string_files={"spans.py"}) == [
+        "lib.py:4: method", "lib.py:12: lonely", "lib.py:17: shadowed"
+    ]
+    assert unmentioned(texts, ["lib.py"]) == [
+        "lib.py:4: method", "lib.py:10: traced", "lib.py:12: lonely", "lib.py:17: shadowed"
+    ]

@@ -143,9 +143,10 @@ def test_enumerate_ball_counts():
     assert len({w.mat for w in ball}) == len(ball)
 
 
-def test_enumerate_ball_guard():
+def test_enumerate_ball_guard(monkeypatch):
+    monkeypatch.setattr(weyl, "DEFAULT_BALL_CAP", 40)
     with pytest.raises(ExplosionGuard):
-        weyl.enumerate_ball(gcm.AFFINE_A2, 50, cap=40)
+        weyl.enumerate_ball(gcm.AFFINE_A2, 50)
 
 
 def test_length_equals_inversion_count():
