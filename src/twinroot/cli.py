@@ -31,7 +31,8 @@ def nonnegative(text):
 
 def _add_common(p):
     p.add_argument("--gcm", help="path to a GCM JSON file {n, a}")
-    p.add_argument("--word", help="comma-separated generator indices or permutation")
+    p.add_argument("--word", help="comma-separated generator indices, or for cone verbs a node "
+                   "permutation: they fold by the group it generates")
     p.add_argument("--alpha", help="simple root index or CSV coordinates")
     p.add_argument("--beta", help="simple root index or CSV coordinates")
     p.add_argument("--group", choices=["sl2", "sl3", "su3"])
@@ -186,18 +187,17 @@ def _dispatch_roots(args):
     return 0
 
 
-def _perm_arg(args, A):
-    from . import cone
+def _perm_arg(args):
     if not args.word:
         raise TwinrootError("--word CSV holds the node permutation for cone commands")
-    return cone.diagram_automorphism(A, _csv_ints(args.word))
+    return _csv_ints(args.word)
 
 
 def _dispatch_cone(args):
     from . import cone
     A = _load_gcm(args)
     if args.subverb == "fold":
-        rc = cone.relative_coxeter(A, [_perm_arg(args, A)])
+        rc = cone.relative_coxeter(A, [_perm_arg(args)])
         out = {
             "orbits": [list(o) for o in rc.orbits],
             "m": [[_inf_json(x) for x in row] for row in rc.m],
@@ -205,7 +205,7 @@ def _dispatch_cone(args):
         _emit(_json(out))
     elif args.subverb == "fixed":
         s0 = _csv_ints(args.alpha)
-        basis = cone.fixed_subspace(A, [_perm_arg(args, A)], s0)
+        basis = cone.fixed_subspace(A, [_perm_arg(args)], s0)
         _emit(_json([f.to_json_obj() for f in basis]))
     return 0
 

@@ -1,12 +1,13 @@
 """Tits-cone side of the Coxeter complex: facets, cone membership, Galois folding.
 
 Points of the dual space V* are stored by their exact rational values on the
-basis e_0..e_{n-1}.  Diagram automorphisms fold the Coxeter system to the
-relative one: orbit generators are longest elements of the orbit parabolics,
-and folded orders are read in W itself.  They equal the orders on the fixed
-subspace L: an element of W that acts trivially on L fixes the all-ones point
-of L, which lies in the open fundamental chamber, and only the identity of W
-fixes such a point.
+basis e_0..e_{n-1}.  A group of diagram automorphisms, given by generators
+(one suffices for the cyclic Galois group of a finite field), folds the
+Coxeter system to the relative one: orbit generators are longest elements of
+the orbit parabolics, and folded orders are read in W itself.  They equal
+the orders on the fixed subspace L: an element of W that acts trivially on L
+fixes the all-ones point of L, which lies in the open fundamental chamber,
+and only the identity of W fixes such a point.
 `fold_word` reads an element of the folded subgroup of W as a relative word.
 """
 
@@ -20,7 +21,6 @@ from itertools import combinations
 from . import weyl
 from .errors import (
     IndexOutOfRange,
-    NotClosedUnderComposition,
     NotInFundamentalChamber,
     NotSpherical,
     OracleInconsistent,
@@ -61,26 +61,17 @@ def cone_membership(A: GeneralizedCartanMatrix, f: CoFunctional, cap: int = 200)
     Returns ("inside", w) with w.f in the closed chamber, or
     ("undecided", None) once the step cap is reached.
     """
+    if len(f.coords) != A.n:
+        raise RankMismatch(f"functional has {len(f.coords)} values, not the rank {A.n}")
     word = weyl.descend(A, f.coords, cap)
     if word is None:
         return "undecided", None
     return "inside", weyl.from_word(A, word[::-1])
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphism:
-    """Permutation of the nodes preserving the Cartan matrix."""
-
-    perm: tuple[int, ...]
-
-    def apply(self, i: int) -> int:
-        return self.perm[i]
-
-    def compose(self, other: "DiagramAutomorphism") -> "DiagramAutomorphism":
-        return DiagramAutomorphism(tuple(self.perm[other.perm[i]] for i in range(len(self.perm))))
-
-
-def diagram_automorphism(A: GeneralizedCartanMatrix, perm) -> DiagramAutomorphism:
+def diagram_automorphism(A: GeneralizedCartanMatrix, perm) -> tuple[int, ...]:
+    """perm as a tuple, checked to be a permutation of the nodes that
+    preserves the Cartan matrix."""
     perm = tuple(perm)
     if sorted(perm) != list(range(A.n)):
         raise RankMismatch(f"{perm} is not a permutation of 0..{A.n - 1}")
@@ -88,57 +79,42 @@ def diagram_automorphism(A: GeneralizedCartanMatrix, perm) -> DiagramAutomorphis
         for j in range(A.n):
             if A.a[perm[i]][perm[j]] != A.a[i][j]:
                 raise RankMismatch(f"{perm} does not preserve the Cartan matrix at ({i},{j})")
-    return DiagramAutomorphism(perm)
+    return perm
 
 
-def _closure_check(A, autos) -> list[DiagramAutomorphism]:
-    autos = [a if isinstance(a, DiagramAutomorphism) else diagram_automorphism(A, a) for a in autos]
-    perms = {a.perm for a in autos}
-    ident = tuple(range(A.n))
-    if ident not in perms:
-        perms.add(ident)
-        autos.append(DiagramAutomorphism(ident))
-    for a in autos:
-        for b in autos:
-            if a.compose(b).perm not in perms:
-                raise NotClosedUnderComposition(
-                    f"composition of {a.perm} and {b.perm} missing from the group"
-                )
-    return autos
-
-
-def orbits(A: GeneralizedCartanMatrix, autos) -> tuple[tuple[int, ...], ...]:
-    autos = _closure_check(A, autos)
-    seen = set()
+def orbits(A: GeneralizedCartanMatrix, gens) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the group the automorphisms gens generate, each sorted, in
+    the order of their least nodes.  A finite permutation group is closed
+    under inverses, so the orbit of i is what the generators reach from i."""
+    gens = [diagram_automorphism(A, g) for g in gens]
     out = []
     for i in range(A.n):
-        if i in seen:
+        if any(i in o for o in out):
             continue
-        orbit = sorted({a.apply(i) for a in autos})
-        seen.update(orbit)
-        out.append(tuple(orbit))
+        orbit = [i]
+        for k in orbit:
+            orbit += {g[k] for g in gens}.difference(orbit)
+        out.append(tuple(sorted(orbit)))
     return tuple(out)
 
 
-def fixed_subspace(A: GeneralizedCartanMatrix, autos, S0=()) -> list[CoFunctional]:
+def fixed_subspace(A: GeneralizedCartanMatrix, gens, S0=()) -> list[CoFunctional]:
     """Basis of L = {x : x(e_i) = 0 for i in S0, x constant on each orbit}.
 
-    One indicator functional per orbit outside S0.
+    One indicator functional per orbit outside S0; S0 must be a union of
+    orbits, that is stable under the group.
     """
-    autos = _closure_check(A, autos)
+    orbs = orbits(A, gens)
     S0 = frozenset(S0)
     if any(not 0 <= i < A.n for i in S0):
         raise IndexOutOfRange(f"S0 = {sorted(S0)} has an index outside 0..{A.n - 1}")
-    for a in autos:
-        if {a.apply(i) for i in S0} != S0:
-            raise RankMismatch(f"S0 = {sorted(S0)} is not stable under {a.perm}")
     basis = []
-    for orbit in orbits(A, autos):
-        if orbit[0] in S0:
-            continue
-        basis.append(
-            CoFunctional(tuple(Fraction(1 if i in orbit else 0) for i in range(A.n)))
-        )
+    for orbit in orbs:
+        inside = S0.intersection(orbit)
+        if inside and len(inside) < len(orbit):
+            raise RankMismatch(f"S0 = {sorted(S0)} is not stable: it splits the orbit {orbit}")
+        if not inside:
+            basis.append(CoFunctional(tuple(Fraction(1 if i in orbit else 0) for i in range(A.n))))
     return basis
 
 
@@ -148,17 +124,13 @@ class RelativeCoxeterMatrix:
     m: tuple[tuple[float, ...], ...]
 
 
-def _embed_word(J, word):
-    return tuple(J[i] for i in word)
-
-
 def orbit_longest_element(A: GeneralizedCartanMatrix, orbit) -> WeylElement:
     sub = A.submatrix(tuple(orbit))
     try:
         w0 = longest_element(sub)
     except NotSpherical as exc:
         raise OrbitNotSpherical(f"orbit {orbit} spans a non-spherical subdiagram") from exc
-    return weyl.from_word(A, _embed_word(tuple(orbit), w0.word))
+    return weyl.from_word(A, tuple(orbit[i] for i in w0.word))
 
 
 @lru_cache(maxsize=None)
@@ -196,17 +168,17 @@ def fold_word(A: GeneralizedCartanMatrix, orbits, w: WeylElement) -> tuple[int, 
             x = weyl._reflect(a, x, i)
 
 
-def relative_coxeter(A: GeneralizedCartanMatrix, autos) -> RelativeCoxeterMatrix:
-    """Folded Coxeter matrix of the diagram-automorphism group.
+def relative_coxeter(A: GeneralizedCartanMatrix, gens) -> RelativeCoxeterMatrix:
+    """Folded Coxeter matrix of the group the automorphisms gens generate.
 
     Generators are longest elements of orbit parabolics; m(O, O') is the
     order of their product in W, which weyl.matrix_order certifies on W's
     integral action.  It is the order on the fixed subspace L too (module
     docstring), and m(O', O) = m(O, O') as the two products are inverse.
     """
-    orbs = orbits(A, autos)
-    gens = [r.mat for _, r in _orbit_images(A, orbs)]
+    orbs = orbits(A, gens)
+    mats = [r.mat for _, r in _orbit_images(A, orbs)]
     m = [[1] * len(orbs) for _ in orbs]
     for i, j in combinations(range(len(orbs)), 2):
-        m[i][j] = m[j][i] = weyl.matrix_order(weyl.mat_mul(gens[i], gens[j]))
+        m[i][j] = m[j][i] = weyl.matrix_order(weyl.mat_mul(mats[i], mats[j]))
     return RelativeCoxeterMatrix(orbs, tuple(map(tuple, m)))

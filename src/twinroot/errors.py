@@ -89,10 +89,6 @@ class NotInFundamentalChamber(TwinrootError):
     pass
 
 
-class NotClosedUnderComposition(TwinrootError):
-    pass
-
-
 class OrbitNotSpherical(TwinrootError):
     pass
 

@@ -389,6 +389,8 @@ class NibblingSequence:
 
 def _parabolic_setup(A: GeneralizedCartanMatrix, J):
     J = tuple(sorted(J))
+    if len(set(J)) < len(J) or any(not 0 <= j < A.n for j in J):
+        raise IndexOutOfRange(f"J = {J} must hold distinct indices in 0..{A.n - 1}")
     sub = A.submatrix(J)
     if not weyl.is_finite(sub):
         raise NotSpherical(f"W_J for J={J} is not finite (a principal minor is not positive)")
@@ -442,6 +444,8 @@ def nibbling_sequence(A: GeneralizedCartanMatrix, J, psi) -> NibblingSequence:
     psi = [p if isinstance(p, RootVector) else RootVector(tuple(p)) for p in psi]
     sub_psi = []
     for p in psi:
+        if len(p.coords) != n:
+            raise RankMismatch(f"{p} has length {len(p.coords)}, not the rank {n}")
         r = _restrict(J, p.coords, n)
         if r is None:
             raise NotNilpotentSet(f"{p} is not a root of the parabolic W_J, J={J}")

@@ -178,6 +178,22 @@ def test_cone_commands(affine_a2_path, capsys):
     assert len(json.loads(out)) == 2
 
 
+def test_cone_folds_by_the_group_the_permutation_generates(affine_a2_path, tmp_path, capsys):
+    three_a2 = tmp_path / "a2x3.json"
+    three_a2.write_text(json.dumps(
+        {"n": 6, "a": [[2 if i == j else -1 if i // 2 == j // 2 else 0 for j in range(6)] for i in range(6)]}
+    ))
+    code, out, _ = run(["cone", "fold", "--gcm", str(three_a2), "--word", "2,3,4,5,0,1"], capsys)
+    assert code == 0 and out == '{"m": [[1, 3], [3, 1]], "orbits": [[0, 2, 4], [1, 3, 5]]}\n'
+    code, out, _ = run(["cone", "fixed", "--gcm", affine_a2_path, "--word", "1,2,0"], capsys)
+    assert code == 0 and json.loads(out) == [[{"num": 1, "den": 1}] * 3]
+    code, out, lines = _run_fresh(["cone", "fold", "--gcm", affine_a2_path, "--word", "1,2,0"])
+    assert (code, out, lines) == (1, "", ["error: orbit (0, 1, 2) spans a non-spherical subdiagram"])
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["cone", "fold", "--help"])
+    assert "fold by the group it generates" in " ".join(capsys.readouterr().out.split())
+
+
 def test_group_commands(capsys, monkeypatch):
     code, out, _ = run(["group", "su3", "--q", "3"], capsys)
     data = json.loads(out)

@@ -5,7 +5,6 @@ import pytest
 from twinroot import cone, gcm, weyl
 from twinroot.cone import CoFunctional
 from twinroot.errors import (
-    NotClosedUnderComposition,
     NotInFundamentalChamber,
     OracleInconsistent,
     OrbitNotSpherical,
@@ -55,10 +54,13 @@ def test_fixed_subspace_with_s0():
 def test_automorphism_validation():
     with pytest.raises(RankMismatch):
         cone.diagram_automorphism(gcm.B2, (1, 0))  # B2 is not symmetric
-    with pytest.raises(NotClosedUnderComposition):
-        # a 3-cycle alone is not closed: its square is missing
-        rotation = cone.diagram_automorphism(gcm.AFFINE_A2, (1, 2, 0))
-        cone.fixed_subspace(gcm.AFFINE_A2, [rotation], ())
+    with pytest.raises(RankMismatch):
+        cone.diagram_automorphism(gcm.A2, (0, 1, 2))  # not a permutation of the nodes
+    # the rotation alone generates its cyclic group, whose one orbit is every node
+    rotation = cone.diagram_automorphism(gcm.AFFINE_A2, (1, 2, 0))
+    assert rotation == (1, 2, 0)
+    basis = cone.fixed_subspace(gcm.AFFINE_A2, [rotation], ())
+    assert [b.coords for b in basis] == [(1, 1, 1)]
 
 
 def test_relative_coxeter_trivial_group():
@@ -109,9 +111,21 @@ def test_relative_coxeter_classical_foldings():
     assert rc2.m == ((1, 4, 2), (4, 1, 4), (2, 4, 1))
 
 
+def test_groups_given_by_generators():
+    # S3 permuting three A2 copies: a 3-cycle and a transposition generate
+    # it, and give what the listed group gives
+    A = _copies(gcm.A2, 3)
+    gens = [(2, 3, 4, 5, 0, 1), (2, 3, 0, 1, 4, 5)]
+    group = [tuple(2 * s[k // 2] + k % 2 for k in range(6)) for s in itertools.permutations(range(3))]
+    assert cone.orbits(A, gens) == cone.orbits(A, group) == ((0, 2, 4), (1, 3, 5))
+    assert cone.relative_coxeter(A, gens) == cone.relative_coxeter(A, group)
+    assert cone.relative_coxeter(A, gens[:1]).m == weyl.coxeter_matrix(gcm.A2).m
+    assert cone.fixed_subspace(A, gens, (1, 3, 5)) == cone.fixed_subspace(A, group, (1, 3, 5))
+
+
 def _cyclic_groups(A):
-    """Each group generated by one diagram automorphism of A, as a list of
-    permutations."""
+    """Each group generated by one diagram automorphism of A, as a generator
+    and the sorted list of the group's permutations."""
     groups = {}
     for p in itertools.permutations(range(A.n)):
         if all(A.a[p[i]][p[j]] == A.a[i][j] for i in range(A.n) for j in range(A.n)):
@@ -119,7 +133,7 @@ def _cyclic_groups(A):
             while q not in group:
                 group.append(q)
                 q = tuple(p[i] for i in q)
-            groups.setdefault(frozenset(group), sorted(group))
+            groups.setdefault(frozenset(group), (p, sorted(group)))
     return list(groups.values())
 
 
@@ -145,16 +159,19 @@ def test_relative_coxeter_is_the_order_on_the_fixed_subspace():
                 gcm.validate_gcm([[2, -3], [-3, 2]]), gcm.validate_gcm([[2, -1, -2], [-1, 2, -2], [-2, -2, 2]])]
     folded = raised = 0
     for A in families:
-        for group in _cyclic_groups(A):
+        for gen, group in _cyclic_groups(A):
             orbits = cone.orbits(A, group)
+            assert cone.orbits(A, [gen]) == orbits
             try:
                 gens = [cone.orbit_longest_element(A, o) for o in orbits]
             except OrbitNotSpherical:
-                with pytest.raises(OrbitNotSpherical):
-                    cone.relative_coxeter(A, group)
+                for generators in (group, [gen]):
+                    with pytest.raises(OrbitNotSpherical):
+                        cone.relative_coxeter(A, generators)
                 raised += 1
                 continue
             rc = cone.relative_coxeter(A, group)
+            assert cone.relative_coxeter(A, [gen]) == rc
             assert rc.orbits == orbits
             for i, j in itertools.combinations(range(len(orbits)), 2):
                 m = _order_on_fixed_subspace(A, orbits, gens[i], gens[j])
@@ -185,9 +202,8 @@ def test_orbit_not_spherical():
         cone.relative_coxeter(A, [swap])
     # the rotation group of the affine A2 cycle has a single non-spherical orbit
     rot = cone.diagram_automorphism(gcm.AFFINE_A2, (1, 2, 0))
-    rot2 = rot.compose(rot)
     with pytest.raises(OrbitNotSpherical):
-        cone.relative_coxeter(gcm.AFFINE_A2, [rot, rot2])
+        cone.relative_coxeter(gcm.AFFINE_A2, [rot])
 
 
 def test_cone_membership():
@@ -199,6 +215,12 @@ def test_cone_membership():
     # a point outside the Tits cone of an affine group never resolves
     status, w = cone.cone_membership(gcm.AFFINE_A1, CoFunctional.of([-1, -1]), cap=100)
     assert status == "undecided" and w is None
+
+
+def test_cone_membership_checks_the_rank():
+    for values in ([-1, 2, 3], [-1]):
+        with pytest.raises(RankMismatch):
+            cone.cone_membership(gcm.A2, CoFunctional.of(values))
 
 
 def _check_fold(A, perm, rel, images, radius):

@@ -8,11 +8,13 @@ import pytest
 from twinroot import gcm, roots, weyl
 from twinroot.errors import (
     BadRoot,
+    IndexOutOfRange,
     MixedSign,
     NotNilpotentSet,
     NotPrenilpotent,
     NotSpherical,
     OrderingFailed,
+    RankMismatch,
 )
 from twinroot.roots import RootVector
 
@@ -380,6 +382,16 @@ def test_nibbling_translated_set():
     seq = roots.nibbling_sequence(A, (0, 1), translated)
     assert len(seq.roots) == 3
     assert {r.coords for r in seq.roots} == {r.coords for r in translated}
+
+
+def test_nibbling_checks_psi_rank_and_j_indices():
+    alpha = roots.simple_root(gcm.A2, 0)
+    for psi in ([(1, 0, 5)], [(1,)]):
+        with pytest.raises(RankMismatch):
+            roots.nibbling_sequence(gcm.A2, (0, 1), psi)
+    for J in ((0, 5), (-1,), (0, 0), (2,)):
+        with pytest.raises(IndexOutOfRange):
+            roots.nibbling_sequence(gcm.A2, J, [alpha])
 
 
 def test_nibbling_rejections():
