@@ -3,8 +3,9 @@
 Prenilpotency is decided exactly from the two pairings <beta, alpha^vee>
 and <alpha, beta^vee>: crossing walls (product at most 3) or walls nested in
 the same direction (<beta, alpha^vee> > 0).  No search radius is involved.
-Interval membership is certificate-based and raises UndecidedError when a
-bounded search certifies neither way.
+Interval membership is certificate-based: exact on finite and affine GCMs,
+where one Gordan certificate over the Tits cone decides it, and on the
+others it raises UndecidedError when a bounded search certifies neither way.
 
 Run: python3 demos/03_real_roots_intervals_nibbling.py
 """

@@ -5,8 +5,9 @@ identified with half-spaces of chambers: the chamber indexed by u in W lies
 on the positive side of gamma iff u(gamma) > 0.  Prenilpotency is decided
 exactly from two pairings, and interval witness chambers come from the orbit
 of the pair's dihedral reflection group, so neither needs a radius.  Interval
-membership is certificate-based; a bounded search that produces neither a
-witness nor a certificate raises UndecidedError, never a silent guess.
+membership is certificate-based and exact on finite and affine GCMs; on the
+others a bounded search that produces neither a witness nor a certificate
+raises UndecidedError, never a silent guess.
 """
 
 from __future__ import annotations
@@ -250,43 +251,78 @@ def _cached_heights(A: GeneralizedCartanMatrix, radius: int):
     return tuple(tuple(map(sum, zip(*w.mat))) for w in _cached_ball(A, radius))
 
 
-def _farkas_empty(deltas) -> bool:
-    """True if a nonnegative nontrivial rational relation sum l_i d_i = 0
-    exists: then no chamber interior satisfies f(d_i) > 0 for all i.
-    Integer Gauss-Jordan on the matrix with the deltas as columns: scaling a
-    row by a nonzero integer keeps its kernel, and free column fc has the
-    kernel vector with 1 at fc and sign -row[fc] * row[pc] at each pivot pc."""
-    k = len(deltas)
-    rows = [list(row) for row in zip(*deltas)]
-    n = len(rows)
+def _eliminate(vectors):
+    """Integer Gauss-Jordan on the matrix with the vectors as columns: the
+    nonzero reduced rows and their pivot columns.  Scaling a row by a nonzero
+    integer keeps its kernel, so free column fc has the kernel vector with 1
+    at fc and -row[fc] / row[pc] at each pivot pc; no Fraction is formed."""
+    rows = [list(row) for row in zip(*vectors)]
     pivots = []
-    r = 0
-    for c in range(k):
-        pivot = next((i for i in range(r, n) if rows[i][c]), None)
+    for c in range(len(vectors)):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         p = rows[r][c]
-        for i in range(n):
+        for i in range(len(rows)):
             f = rows[i][c]
             if i != r and f:
                 rows[i] = [p * x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-    free = (fc for fc in range(k) if fc not in pivots)
-    return any(all(row[fc] * row[pc] <= 0 for row, pc in zip(rows, pivots)) for fc in free)
+    return rows[: len(pivots)], pivots
 
 
-def _region_empty(A, deltas, radius: int, exhaustive: bool):
+def _farkas_empty(deltas) -> bool:
+    """True iff some l >= 0, l != 0 has sum l_i d_i = 0, that is (Gordan's
+    alternative) iff no f has f(d_i) > 0 for all i.  A nonnegative kernel
+    vector of a free column is such an l; any l is a sum of nonnegative
+    circuits on at most rank + 1 deltas, so when the kernel has dimension
+    > 1 some circuit misses a delta."""
+    rows, pivots = _eliminate(deltas)
+    free = [fc for fc in range(len(deltas)) if fc not in pivots]
+    if any(all(row[fc] * row[pc] <= 0 for row, pc in zip(rows, pivots)) for fc in free):
+        return True
+    return len(free) > 1 and any(_farkas_empty(deltas[:i] + deltas[i + 1 :]) for i in range(len(deltas)))
+
+
+@lru_cache(maxsize=128)
+def _tits_cone_bound(A: GeneralizedCartanMatrix):
+    """Deltas whose positive sides cut the Tits cone's interior out of V*:
+    () for finite W, (delta,) for affine A (Kac, Infinite-dimensional Lie
+    algebras, Prop. 5.8), None otherwise.  A is affine iff it has corank 1
+    and a kernel vector delta > 0 (Thm 4.3; a decomposable A has none)."""
+    if weyl.is_finite(A):
+        return ()
+    rows, pivots = _eliminate(tuple(zip(*A.a)))
+    if len(pivots) != A.n - 1:
+        return None
+    fc = next(c for c in range(A.n) if c not in pivots)
+    delta = [int(c == fc) for c in range(A.n)]
+    for row, pc in zip(rows, pivots):  # keep delta integral: scale, then set entry pc
+        f = delta[fc]
+        delta = [x * row[pc] for x in delta]
+        delta[pc] = -row[fc] * f
+    if not (all(x > 0 for x in delta) or all(x < 0 for x in delta)):
+        return None
+    return (tuple(map(abs, delta)),)
+
+
+def _region_empty(A, deltas, radius: int):
     """Chamber-emptiness of {u : u d > 0 for all d in deltas}.
 
-    Returns True/False when certified/witnessed, None when undecided.  The
-    two exact certificates run before the ball scan, which only they spare.
-    The deltas are real roots by construction (closed_interval's alpha and
-    beta pass root_witness, and each gamma is a w-image of a simple root),
-    so the sign of u(d) is the sign of its height, which is never 0: the
-    scan tests one dot product per delta.
+    Returns True/False when certified/witnessed, None when undecided.  On
+    finite or affine A the region holds a chamber iff it meets the Tits
+    cone's interior, which _farkas_empty decides exactly.  Otherwise two
+    certificates run before the ball scan, which only they spare.  The
+    deltas are real roots by construction (closed_interval's alpha and beta
+    pass root_witness, and each gamma is a w-image of a simple root), so the
+    sign of u(d) is the sign of its height, which is never 0: the scan tests
+    one dot product per delta.
     """
+    bound = _tits_cone_bound(A)
+    if bound is not None:
+        return _farkas_empty(deltas + bound)
     # certificate 1: some pair already empty
     for i in range(len(deltas)):
         for j in range(i + 1, len(deltas)):
@@ -298,7 +334,7 @@ def _region_empty(A, deltas, radius: int, exhaustive: bool):
     for h in _cached_heights(A, radius):
         if all(sum(map(mul, h, d)) > 0 for d in deltas):
             return False
-    return True if exhaustive else None
+    return None
 
 
 @dataclass(frozen=True)
@@ -337,13 +373,12 @@ def closed_interval(
     after the second both-negative, and a member separates every such pair.
     Each candidate gamma is kept iff the regions (-gamma, alpha, beta) and
     (gamma, -alpha, -beta) are certified chamber-empty; search_radius bounds
-    those certificates only.
+    only _region_empty's ball scans, which finite and affine A never run.
     """
     if not is_prenilpotent_pair(A, alpha, beta):
         raise NotPrenilpotent(f"{alpha}, {beta} is not a prenilpotent pair")
     if alpha == beta:
         return RootInterval(alpha, beta, (alpha,))
-    exhaustive = _cached_ball(A, search_radius)[-1].length < search_radius
     u, v = _witness_chambers(A, alpha, beta)
     # inversion_order(u v^{-1}) lists the walls crossed on a minimal gallery
     # from C to u v^{-1} C, in order; u^{-1} moves them to the gallery u -> v
@@ -355,9 +390,9 @@ def closed_interval(
     neg_b = tuple(-x for x in beta.coords)
 
     def region_status(deltas):
-        status = _region_empty(A, deltas, search_radius, exhaustive)
+        status = _region_empty(A, deltas, search_radius)
         if status is None:
-            status = _region_empty(A, deltas, 2 * search_radius, exhaustive)
+            status = _region_empty(A, deltas, 2 * search_radius)
         return status
 
     for gamma in sorted(candidates):
@@ -439,7 +474,7 @@ def nibbling_sequence(A: GeneralizedCartanMatrix, J, psi) -> NibblingSequence:
     J, sub = _parabolic_setup(A, J)
     w0 = longest_element(sub)
     top = w0.length
-    ball = _cached_ball(sub, top + 1)  # all of W_J, shared with the verification
+    ball = _cached_ball(sub, top + 1)  # all of W_J
     n = A.n
     psi = [p if isinstance(p, RootVector) else RootVector(tuple(p)) for p in psi]
     sub_psi = []
@@ -464,18 +499,18 @@ def nibbling_sequence(A: GeneralizedCartanMatrix, J, psi) -> NibblingSequence:
     moved = [(position[mover.apply(r)], r) for r in sub_psi]
     moved.sort()
     ordered_sub = [r for _, r in moved]
-    _verify_nibbling(sub, ordered_sub, search_radius=top + 1)
+    _verify_nibbling(sub, ordered_sub)
     return NibblingSequence(tuple(RootVector(_embed(J, n, r)) for r in ordered_sub))
 
 
-def _verify_nibbling(sub, ordered, search_radius):
+def _verify_nibbling(sub, ordered):
     for i in range(len(ordered)):
         for j in range(i + 1, len(ordered)):
             a, b = RootVector(ordered[i]), RootVector(ordered[j])
             if not is_prenilpotent_pair(sub, a, b):
                 raise OrderingFailed(f"pair {a}, {b} is not prenilpotent")
             between = {tuple(r) for r in ordered[i + 1 : j]}
-            for g in closed_interval(sub, a, b, search_radius).open:
+            for g in closed_interval(sub, a, b).open:
                 if g.coords not in between:
                     raise OrderingFailed(
                         f"open interval of {a}, {b} contains {g} outside positions {i}..{j}"

@@ -103,9 +103,12 @@ LARGER_GCMS = {
 
 
 def fraction_farkas_empty(deltas):
-    """Reference for roots._farkas_empty: the same Gauss-Jordan elimination
-    over Fraction, each pivot row divided by its pivot, and the kernel
-    vector of each free column read off the reduced rows."""
+    """Farkas test of the scan reference: Gauss-Jordan elimination over
+    Fraction, each pivot row divided by its pivot, and the kernel vector of
+    each free column read off the reduced rows.  Only these basic vectors
+    are tried, unlike roots._farkas_empty; on three real roots the two agree
+    (a kernel of dimension >= 2 means rank 1, where the basic test is
+    complete)."""
     from fractions import Fraction
 
     k, n = len(deltas), len(deltas[0])

@@ -103,15 +103,23 @@ def test_exit_codes(a2_path, affine_a1_path, affine_a2_path, capsys, tmp_path):
         capsys,
     )
     assert code == 0 and json.loads(out) == [[0, 1], [1, 0], [1, 1]]
-    # undecided: 2 (a radius-0 ball starves a membership certificate)
-    code, _, err = run(
+    # affine membership is exact: the radius plays no part
+    code, out, _ = run(
         [
             "roots", "interval", "--gcm", affine_a2_path,
             "--alpha=-1,0,0", "--beta", "0,1,1", "--search-radius", "0",
         ],
         capsys,
     )
-    assert code == 2 and "containment test for candidate (0, 1, 0)" in err
+    assert code == 0 and json.loads(out) == [[-1, 0, 0], [0, 1, 1]]
+    # undecided: 2 (on an indefinite GCM a radius-0 ball starves a membership certificate)
+    h3 = tmp_path / "h3.json"
+    h3.write_text('{"n": 3, "a": [[2, -1, 0], [-1, 2, -2], [0, -2, 2]]}')
+    code, _, err = run(
+        ["roots", "interval", "--gcm", str(h3), "--alpha=-2,-2,-1", "--beta=-1,0,0", "--search-radius", "0"],
+        capsys,
+    )
+    assert code == 2 and "containment test for candidate (-1, -1, 0) undecided at radius 0" in err
     # a missing root argument: 1, one error line
     code, out, err = run(["roots", "positive", "--gcm", a2_path], capsys)
     assert code == 1 and out == "" and err.count("\nerror: ") == 1

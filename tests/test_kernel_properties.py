@@ -1,5 +1,8 @@
 """Property tests for the Weyl kernel laws over the test GCMs."""
 
+import itertools
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,11 +92,59 @@ def test_height_sign_is_the_root_sign_on_a_ball(data):
         assert (height > 0) - (height < 0) == weyl.root_sign(weyl.mat_vec(w.mat, d))
 
 
+def fraction_kernel(vectors):
+    """A basis of {l : sum l_i v_i = 0}, by reduced row echelon form over Fraction."""
+    k = len(vectors)
+    rows = [[Fraction(v[i]) for v in vectors] for i in range(len(vectors[0]))]
+    pivots = []
+    for c in range(k):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(k) if c not in pivots):
+        sol = [Fraction(0)] * k
+        sol[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            sol[pc] = -rows[r][fc]
+        basis.append(sol)
+    return basis
+
+
+def circuit_farkas_empty(deltas):
+    """Reference for roots._farkas_empty: a nonnegative relation exists iff
+    some circuit (a subset whose kernel is one line, spanned by a vector
+    with no zero entry) has a one-signed kernel vector.  Every subset is
+    tried."""
+    for size in range(1, len(deltas) + 1):
+        for subset in itertools.combinations(deltas, size):
+            kernel = fraction_kernel(subset)
+            if len(kernel) == 1 and (all(x > 0 for x in kernel[0]) or all(x < 0 for x in kernel[0])):
+                return True
+    return False
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_integer_farkas_matches_the_fraction_reference(data):
-    n = data.draw(st.integers(2, 5))
-    k = data.draw(st.integers(2, 5))
+    """Kernels of dimension >= 2 included: up to 6 vectors in dimension 1-4."""
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 6))
     vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
     deltas = tuple(data.draw(vector) for _ in range(k))
-    assert roots._farkas_empty(deltas) == fraction_farkas_empty(deltas)
+    assert roots._farkas_empty(deltas) == circuit_farkas_empty(deltas)
+
+
+def test_farkas_needs_more_than_the_basic_kernel_vectors():
+    """Affine A1: three real roots and delta in R^2 leave a kernel plane
+    whose basic vectors are mixed, while (0, 1) + (-1, -2) + (1, 1) = 0."""
+    deltas = ((-1, 0), (0, 1), (-1, -2), (1, 1))
+    assert len(fraction_kernel(deltas)) == 2
+    assert not fraction_farkas_empty(deltas) and roots._farkas_empty(deltas)

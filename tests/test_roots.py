@@ -305,20 +305,85 @@ def test_affine_nested_interval():
     assert {r.coords for r in iv.members} == {(1, 0), (0, -1), (-1, -2)}
 
 
-def scan_region_empty(A, deltas, radius, exhaustive):
-    """Reference region test: the same two certificates (Farkas over
+def scan_region_empty(A, deltas, radius):
+    """Reference region test: the pair and Farkas certificates (Farkas over
     Fraction), then a ball scan that applies each w.mat to each delta and
-    reads the sign of the image."""
+    reads the sign of the image; a ball that stops short of the radius is
+    all of W, so finding no chamber there certifies emptiness."""
     for i in range(len(deltas)):
         for j in range(i + 1, len(deltas)):
             if 1 in roots._empty_diagonal(A, deltas[i], deltas[j]):
                 return True
     if fraction_farkas_empty(deltas):
         return True
-    for w in roots._cached_ball(A, radius):
+    ball = roots._cached_ball(A, radius)
+    for w in ball:
         if all(weyl.root_sign(weyl.mat_vec(w.mat, d)) > 0 for d in deltas):
             return False
-    return True if exhaustive else None
+    return True if ball[-1].length < radius else None
+
+
+AFFINE_G2 = gcm.validate_gcm([[2, -1, 0], [-1, 2, -1], [0, -3, 2]])
+
+
+@pytest.mark.parametrize(
+    "A, bound",
+    [
+        (gcm.A2, ()),
+        (gcm.G2, ()),
+        (gcm.AFFINE_A1, ((1, 1),)),
+        (gcm.AFFINE_A2, ((1, 1, 1),)),
+        (gcm.validate_gcm([[2, -4], [-1, 2]]), ((2, 1),)),
+        (AFFINE_G2, ((1, 2, 3),)),
+        (LARGER_GCMS["H3"], None),
+        (LARGER_GCMS["K4"], None),
+        (gcm.validate_gcm([[2, 0, 0], [0, 2, -2], [0, -2, 2]]), None),
+    ],
+    ids=["A2", "G2", "affine_A1", "affine_A2", "affine_A2_twisted", "affine_G2", "H3", "K4", "A1+affine_A1"],
+)
+def test_tits_cone_bound(A, bound):
+    """Finite and other GCMs exactly; for affine A any positive multiple of
+    the listed null root delta, which A kills."""
+    got = roots._tits_cone_bound(A)
+    if not bound:
+        assert got == bound
+        return
+    (delta,), (want,) = got, bound
+    assert len(delta) == A.n and all(x > 0 for x in delta)
+    assert all(sum(a * x for a, x in zip(row, want)) == 0 for row in A.a)
+    assert all(x * want[0] == y * delta[0] for x, y in zip(delta, want))
+
+
+def test_affine_g2_intervals_beyond_the_search_radius():
+    """Two pairs that the pair and Farkas certificates and the scans of the
+    radius-8 and radius-16 balls leave undecided; the Gordan certificate
+    over the Tits cone decides them at any radius."""
+    want = [(1, 1, 2), (1, 3, 3), (2, 4, 5), (3, 5, 7), (4, 6, 9), (5, 9, 12)]
+    for sign in (1, -1):
+        a, b = (RootVector(tuple(sign * x for x in v)) for v in ((1, 1, 2), (1, 3, 3)))
+        for radius in (0, 8):
+            got = roots.closed_interval(AFFINE_G2, a, b, radius).members
+            assert sorted(r.coords for r in got) == sorted(tuple(sign * x for x in v) for v in want)
+
+
+@pytest.mark.parametrize("name", sorted(TEST_GCMS))
+def test_exact_region_test_matches_the_scan_reference(name):
+    """On finite and affine GCMs the exact region test agrees with the
+    scan reference on random triples of real roots wherever the scan
+    decides; on the finite ones the scan always decides."""
+    A = TEST_GCMS[name]
+    rng = random.Random(name)
+    rr = roots._root_vectors(A, 4)
+    decided = {True: 0, False: 0}
+    for _ in range(300):
+        deltas = tuple(rng.sample(rr, 3))
+        want = scan_region_empty(A, deltas, 8)
+        if want is not None:
+            assert roots._region_empty(A, deltas, 8) is want
+            decided[want] += 1
+    assert min(decided.values()) > 0
+    if name in FINITE_GCMS:
+        assert sum(decided.values()) == 300
 
 
 @pytest.mark.parametrize(
